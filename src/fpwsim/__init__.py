@@ -32,13 +32,11 @@ from .com_resonator import (
     NoResonanceError,
     ResonanceSummary,
     array_factor,
-    cascade,
     design_spacing,
     find_resonance,
     fpw_device_response,
     grating_matrix,
     grating_scattering,
-    idt_matrix,
     s21_sweep,
     spacing_matrix,
     write_sweep_csv,
@@ -48,7 +46,6 @@ from .liquid_sensing import (
     CouplingReport,
     DegenerateFitError,
     LiquidSample,
-    Measurement,
     PRESET_LIQUIDS,
     fit_density_sensitivity,
     invert_density_calibrated,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -82,7 +83,17 @@ def _load_liquids(args) -> dict[str, LiquidSample]:
         text = _bundled("liquids.txt")
     else:
         text = Path(args.liquids).read_text()
-    return load_liquid_library(text)
+    try:
+        return load_liquid_library(text)
+    except ValueError as exc:
+        raise UsageError(f"liquid library {args.liquids}: {exc}") from None
+
+
+def _read_points(args) -> list[tuple[float, float]]:
+    try:
+        return parse_calibration_points(Path(args.points).read_text())
+    except ValueError as exc:
+        raise UsageError(f"{args.points}: {exc}") from None
 
 
 def _pick_liquid(args) -> LiquidSample | None:
@@ -205,30 +216,30 @@ def _write_csv(path: str, header: str, rows) -> None:
 def _cmd_s21(args) -> RunResult:
     cfg = _load_config(args)
     geometry = cfg.geometry
+    window = (args.f_start, args.f_stop, args.points)
     if args.bulk:
         if cfg.com_velocity is None:
             raise UsageError("--bulk requires a [com] velocity in the config")
-        params = cfg.com_parameters()
-        response = s21_sweep(
-            geometry, params, args.f_start, args.f_stop, args.points
-        )
+        sweep = partial(s21_sweep, geometry, cfg.com_parameters(), *window)
         mode = "bulk"
     else:
         plate = cfg.plate()
         liquid = _pick_liquid(args)
-        loading = _loading(args, liquid)
-        params = cfg.com_parameters(free_velocity=1.0)
-        response = fpw_device_response(
+        sweep = partial(
+            fpw_device_response,
             plate,
-            loading,
+            _loading(args, liquid),
             geometry,
-            params,
-            args.f_start,
-            args.f_stop,
-            args.points,
+            cfg.com_parameters(free_velocity=1.0),
+            *window,
             include_viscous_loss=args.viscous_loss,
         )
         mode = f"fpw ({liquid.name if liquid else 'unloaded'})"
+    try:
+        response = sweep()
+    except ValueError as exc:
+        # The sweep rejects --points < 2 and a window outside 0 < start < stop.
+        raise UsageError(str(exc)) from None
 
     write_sweep_csv(response, args.out)
     lines = [
@@ -255,7 +266,7 @@ def _cmd_s21(args) -> RunResult:
 
 
 def _cmd_fit(args) -> RunResult:
-    points = parse_calibration_points(Path(args.points).read_text())
+    points = _read_points(args)
     fit = fit_density_sensitivity(points)
     lines = [
         f"points: {len(fit.points)}",
@@ -268,7 +279,7 @@ def _cmd_fit(args) -> RunResult:
 
 
 def _cmd_invert(args) -> RunResult:
-    points = parse_calibration_points(Path(args.points).read_text())
+    points = _read_points(args)
     fit = fit_density_sensitivity(points)
     density, extrapolated = invert_density_calibrated(args.freq, fit)
     lines = [

@@ -52,21 +52,6 @@ class LiquidSample:
 
 
 @dataclass(frozen=True)
-class Measurement:
-    """One measured operating point of the device under a liquid."""
-
-    frequency: float
-    insertion_loss_db: float
-    liquid_name: str
-
-    def __post_init__(self):
-        if self.frequency <= 0:
-            raise ValueError("frequency must be > 0")
-        if self.insertion_loss_db > 0:
-            raise ValueError("insertion loss is expressed in dB <= 0")
-
-
-@dataclass(frozen=True)
 class CalibrationFit:
     """Least-squares line frequency = slope * density + intercept.
 

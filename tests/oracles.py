@@ -2,11 +2,18 @@
 
 Everything here deliberately avoids the code paths under test: the loaded
 velocity is found by bisection on the residual of the loading balance
-(instead of fixed-point iteration), and closed forms are written from
-scratch where one exists.
+(instead of fixed-point iteration), closed forms are written from scratch
+where one exists, and the resonator S21 is solved one frequency at a time
+through the literal 2x2 transfer-matrix chain (instead of the closed form
+evaluated over the frequency axis).
 """
 
+import cmath
 import math
+
+import numpy as np
+
+from fpwsim import grating_matrix, spacing_matrix
 
 
 def bisect_loaded_velocity(bending, areal_mass, tension, density, viscosity,
@@ -56,3 +63,74 @@ def lorentzian_magnitude(freqs, center, half_width):
     """|S21| of a single resonance with the given half-power half-width."""
     return [1.0 / math.sqrt(1.0 + ((f - center) / half_width) ** 2)
             for f in freqs]
+
+
+def idt_port(frequency, geometry, params):
+    """(launch amplitude mu, electrical reflection) of one IDT port.
+
+    Written out from the transversal model: radiation conductance
+    |transduction|^2 * Y0 * (sin x / x)^2 * aperture in parallel with the
+    static capacitance, and |mu|^2 = (1 - |reflection|^2) / 2 carrying the
+    sign of the array factor and the phase of the transduction strength.
+    """
+    port_admittance = 0.02
+    center = params.free_velocity / geometry.wavelength
+    x = geometry.idt_pairs * math.pi * (frequency - center) / center
+    lobe = 1.0 if x == 0 else math.sin(x) / x
+    aperture = geometry.overlap / 50.0
+    capacitance = params.static_capacitance_per_pair * geometry.idt_pairs * aperture
+    strength = params.transduction_strength
+    admittance = (
+        abs(strength) ** 2 * port_admittance * lobe**2 * aperture
+        + 2j * math.pi * frequency * capacitance
+    )
+    reflection = (port_admittance - admittance) / (port_admittance + admittance)
+    if strength == 0 or lobe == 0:
+        return 0.0, reflection
+    magnitude = math.sqrt(max(0.0, 1.0 - abs(reflection) ** 2) / 2.0)
+    return magnitude * math.copysign(1.0, lobe) * strength / abs(strength), reflection
+
+
+def chain_elements(frequency, geometry, params):
+    """Element matrices of the device, left to right, plus the IDT coupling.
+
+    Returns (elements, tau, pickup): the seven 2x2 matrices grating, gap,
+    IDT, separation, IDT, gap, grating under W_left = M @ W_right; the
+    source column tau the driven IDT injects at its left face; and the
+    factor mu / half that turns the amplitudes at an idle IDT into S21.
+    The IDT's acoustic block diag(t, 1/t) and tau are written out here.
+    """
+    gamma = params.attenuation + 2j * math.pi * frequency / params.free_velocity
+    mu, _ = idt_port(frequency, geometry, params)
+    tap = math.sqrt(1.0 - abs(mu) ** 2)
+    full = cmath.exp(gamma * geometry.idt_length)
+    half = cmath.exp(gamma * geometry.idt_length / 2.0)
+    idt = np.array([[full / tap, 0.0], [0.0, tap / full]], dtype=complex)
+    tau = np.array([-mu * half / tap, mu / half], dtype=complex)
+    grating = grating_matrix(frequency, geometry, params)
+    gap = spacing_matrix(frequency, geometry.grating_gap, params)
+    mid = spacing_matrix(frequency, geometry.separation_length, params)
+    return (grating, gap, idt, mid, idt, gap, grating), tau, mu / half
+
+
+def chain_s21(frequency, geometry, params, drive_port=1):
+    """S21 at one frequency by solving the 2x2 chain plane by plane.
+
+    Boundary conditions: nothing incident from outside either grating,
+    the undriven IDT electrically idle. Returns None when M[0, 0] is zero.
+    """
+    elements, tau, pickup = chain_elements(frequency, geometry, params)
+    g_in, d_in, t_in, d_mid, t_out, d_out, g_out = elements
+    overall = g_in @ d_in @ t_in @ d_mid @ t_out @ d_out @ g_out
+    source = tau if drive_port == 1 else t_in @ d_mid @ tau
+    drive = g_in @ d_in @ source
+    if overall[0, 0] == 0:
+        return None
+    w_right = np.array([-drive[0] / overall[0, 0], 0.0], dtype=complex)
+    w5 = d_out @ g_out @ w_right
+    w4 = t_out @ w5 + (tau if drive_port == 2 else 0.0)
+    w3 = d_mid @ w4
+    w2 = t_in @ w3 + (tau if drive_port == 1 else 0.0)
+    if drive_port == 1:
+        return complex(pickup * (w4[0] + w5[1]))
+    return complex(pickup * (w2[0] + w3[1]))

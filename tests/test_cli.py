@@ -252,6 +252,26 @@ class TestS21Command:
         assert result.exit_status == 1
         assert out.exists()
 
+    def test_overflowing_attenuation_exits_1(self, tmp_path, capsys):
+        # A valid but extreme attenuation overflows every sweep point.
+        from fpwsim.cli import _bundled
+
+        cfg = tmp_path / "lossy.cfg"
+        cfg.write_text(
+            _bundled("reference_device.cfg").replace(
+                "attenuation = 0.0", "attenuation = 1e6"
+            )
+        )
+        out = tmp_path / "lossy.csv"
+        status = main(
+            ["--config", str(cfg), "s21", "--bulk", "--out", str(out),
+             "--points", "51"]
+        )
+        captured = capsys.readouterr()
+        assert status == 1
+        assert "error: response contains no finite points" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestFitInvertCommands:
     def test_fit_reference_slope(self, points_file):
@@ -293,3 +313,32 @@ class TestMainEntryPoint:
         captured = capsys.readouterr()
         assert status == 2
         assert "unknown liquid" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", "--points", "{bad}"], "line 1"),
+        (["invert", "--freq", "4.75e6", "--points", "{bad}"], "line 1"),
+        (["--liquids", "{bad}", "dispersion", "--liquid", "water"], "line 1"),
+        (["s21", "--bulk", "--points", "1", "--out", "{out}"], "points"),
+        (
+            ["s21", "--bulk", "--f-start", "61e6", "--f-stop", "60e6",
+             "--out", "{out}"],
+            "f_start < f_stop",
+        ),
+    ],
+    ids=["fit-bad-points", "invert-bad-points", "bad-liquids", "one-point",
+         "reversed-window"],
+)
+def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
+    # Two fields: a bad density for a points file, one short for a library.
+    bad = tmp_path / "bad.txt"
+    bad.write_text("water 1000\n")
+    out = tmp_path / "out.csv"
+    argv = [a.format(bad=bad, out=out) for a in argv]
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err.startswith("error: ")
+    assert message in captured.err

@@ -4,7 +4,6 @@ import pytest
 from fpwsim import (
     DegenerateFitError,
     LiquidSample,
-    Measurement,
     PRESET_LIQUIDS,
     fit_density_sensitivity,
     invert_density_calibrated,
@@ -268,10 +267,3 @@ class TestDomainTypes:
             LiquidSample("x", 0.0, 0.0)
         with pytest.raises(ValueError):
             LiquidSample("x", 1000.0, -1.0)
-
-    def test_measurement_validation(self):
-        Measurement(4.75e6, -20.0, "water")
-        with pytest.raises(ValueError):
-            Measurement(0.0, -20.0, "water")
-        with pytest.raises(ValueError):
-            Measurement(4.75e6, 3.0, "water")
