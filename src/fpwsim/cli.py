@@ -24,6 +24,7 @@ from .com_resonator import (
     find_resonance,
     fpw_device_response,
     s21_sweep,
+    write_csv,
     write_sweep_csv,
 )
 from .config import (
@@ -183,7 +184,9 @@ def _cmd_dispersion(args) -> RunResult:
                 wavelength,
             )
             rows.append((float(density), sol.resonant_frequency))
-        _write_csv(args.sweep_out, "density_kg_m3,frequency_hz", rows)
+        write_csv(
+            args.sweep_out, "density_kg_m3,frequency_hz", np.transpose(rows)
+        )
         outputs.append(args.sweep_out)
         lines.append(f"sweep_csv: {args.sweep_out} ({count} rows)")
     return RunResult(
@@ -204,13 +207,6 @@ def _parse_sweep_range(text: str) -> tuple[float, float, int]:
     if not (0 < lo < hi and count >= 2):
         raise UsageError("sweep range needs 0 < lo < hi and count >= 2")
     return lo, hi, count
-
-
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(_NUM % value for value in row) + "\n")
 
 
 def _cmd_s21(args) -> RunResult:

@@ -26,6 +26,15 @@ of SWEEP_BLOCK_POINTS points so that the temporaries stay small. A point
 whose solve is singular (zero or non-finite denominator, or a non-finite
 result, as when extreme attenuation overflows) becomes a NaN gap.
 
+CSV export has a byte contract: every field is exactly ``"%.9e" % value``,
+so identical inputs give identical files. ``write_csv`` hands
+SWEEP_BLOCK_POINTS rows at a time to ``format_csv_rows``, which renders
+fixed-width byte fields with array arithmetic: ten significant digits from
+the scaled mantissa |x| 10^(9 - e) rounded to an integer. Values it cannot
+round exactly fall back to ``"%.9e" % value``: non-finite, zero, subnormal
+or outside [1e-280, 1e280] in magnitude, or with a mantissa whose fraction
+lies within 1e-4 of 1/2 or that is at least 1e10 - 1.
+
 Conventions: time factor exp(+i omega t), forward propagation phase
 exp(-i beta x). A grating strip sits every half wavelength, so a grating
 with N strips spans N * wavelength / 2 and has distributed reflectivity
@@ -441,59 +450,144 @@ def _crossing(freqs, mags, i_from, i_to, target):
 def find_resonance(response: FrequencyResponse) -> ResonanceSummary:
     """Locate the global |S21| peak and its -3 dB bandwidth.
 
-    Raises NoResonanceError for flat responses, for peaks sitting on the
-    sweep boundary (monotone responses), and when a -3 dB crossing is not
-    bracketed inside the sweep.
+    Gap points are skipped: each -3 dB crossing is interpolated between
+    the nearest finite points on either side of it. Raises
+    NoResonanceError for flat responses, for peaks sitting on the sweep
+    boundary (monotone responses), when a -3 dB crossing is not bracketed
+    inside the sweep, and when the bandwidth comes out non-finite.
     """
     mags = np.abs(response.s21)
     valid = np.isfinite(mags)
     if not np.any(valid):
         raise NoResonanceError("response contains no finite points")
-    mags = np.where(valid, mags, -np.inf)
-    peak = int(np.argmax(mags))
+    peak = int(np.argmax(np.where(valid, mags, -np.inf)))
     peak_mag = float(mags[peak])
-    finite = mags[np.isfinite(mags)]
-    if peak_mag <= 0 or float(np.min(finite)) == peak_mag:
+    # Gaps rank above every finite point, so they are never below -3 dB.
+    ranked = np.where(valid, mags, np.inf)
+    if peak_mag <= 0 or float(np.min(ranked)) == peak_mag:
         raise NoResonanceError("response is flat; no resonance to extract")
     if peak == 0 or peak == len(mags) - 1:
         raise NoResonanceError("|S21| maximum sits on the sweep boundary")
 
     target = peak_mag / math.sqrt(2.0)
     freqs = response.frequencies
-    left = None
-    for i in range(peak - 1, -1, -1):
-        if mags[i] <= target:
-            left = _crossing(freqs, mags, i, i + 1, target)
-            break
-    right = None
-    for i in range(peak + 1, len(mags)):
-        if mags[i] <= target:
-            right = _crossing(freqs, mags, i, i - 1, target)
-            break
-    if left is None or right is None:
+    below = ranked <= target
+    outward_left, outward_right = below[peak - 1::-1], below[peak + 1:]
+    if not (np.any(outward_left) and np.any(outward_right)):
         raise NoResonanceError("-3 dB bandwidth is not bracketed by the sweep")
+    # The finite points below -3 dB nearest the peak; each crossing lies
+    # between one of them and its nearest finite neighbour toward the peak.
+    i_left = peak - 1 - int(np.argmax(outward_left))
+    i_right = peak + 1 + int(np.argmax(outward_right))
+    j_left = i_left + 1 + int(np.argmax(valid[i_left + 1:]))
+    j_right = i_right - 1 - int(np.argmax(valid[i_right - 1::-1]))
+    left = _crossing(freqs, mags, i_left, j_left, target)
+    right = _crossing(freqs, mags, i_right, j_right, target)
 
     bandwidth = float(right - left)
     peak_frequency = float(freqs[peak])
+    quality = peak_frequency / bandwidth
+    if not (math.isfinite(bandwidth) and math.isfinite(quality)):
+        raise NoResonanceError(f"-3 dB bandwidth {bandwidth} is not finite")
     return ResonanceSummary(
         peak_frequency=peak_frequency,
         peak_magnitude=peak_mag,
         insertion_loss_db=20.0 * math.log10(peak_mag),
         bandwidth_3db=bandwidth,
-        quality_factor=peak_frequency / bandwidth,
+        quality_factor=quality,
     )
+
+
+def format_csv_rows(values) -> bytes:
+    """CSV bytes of a 2-D float array: one line per row, fields joined by
+    commas, each field exactly the bytes of ``"%.9e" % value``.
+
+    Each value is rendered into a fixed 17-byte field (the widest output,
+    ``-1.234567890e-308``) followed by its separator byte: optional sign,
+    first digit, ``.``, nine digits, ``e``, exponent sign, optional
+    hundreds digit, two exponent digits; unused bytes stay 0 and are
+    dropped at the end. The ten significant digits come from the mantissa
+    m = |x| 10^(9 - e), with e = floor(log10 |x|) corrected so that m lies
+    in [1e9, 1e10), rounded to the nearest integer. Its error is below
+    3e-6, so rounding m is exact unless m sits near a half-way point.
+    Values that are non-finite, zero, subnormal or outside [1e-280, 1e280]
+    in magnitude, or whose m has a fractional part within 1e-4 of 1/2 or is
+    at least 1e10 - 1, are formatted by ``"%.9e" % value`` itself.
+    """
+    values = np.asarray(values, dtype=float)
+    rows, columns = values.shape
+    flat = values.reshape(-1)
+    size = np.abs(flat)
+    fast = (size >= 1e-280) & (size <= 1e280)
+    size = np.where(fast, size, 1.0)
+    exponent = np.floor(np.log10(size)).astype(np.int64)
+    # Correctly rounded powers 10^(9 - e) for e in [low, high]; 10.0**k
+    # misses the nearest double for some k (23 and 210 with glibc).
+    low, high = int(exponent.min()) - 1, int(exponent.max()) + 1
+    scale = np.array([float("1e%d" % k) for k in range(9 - high, 10 - low)])
+    mantissa = size * scale[high - exponent]
+    # log10 may round across a power of ten; the mantissa's decade decides.
+    exponent += mantissa >= 1e10
+    exponent -= mantissa < 1e9
+    mantissa = size * scale[high - exponent]
+    fraction = mantissa - np.floor(mantissa)
+    fast &= (np.abs(fraction - 0.5) >= 1e-4) & (mantissa < 1e10 - 1)
+
+    grid = np.zeros((flat.size, 18), dtype=np.uint8)
+    grid[:, 0] = np.where(flat < 0, ord("-"), 0)
+    whole = np.rint(mantissa).astype(np.int64)
+    for column in (11, 10, 9, 8, 7, 6, 5, 4, 3, 1):
+        rest = whole // 10
+        grid[:, column] = whole - 10 * rest + ord("0")
+        whole = rest
+    grid[:, 2] = ord(".")
+    grid[:, 12] = ord("e")
+    grid[:, 13] = np.where(exponent < 0, ord("-"), ord("+"))
+    magnitude = np.abs(exponent)
+    grid[:, 14] = np.where(magnitude >= 100, magnitude // 100 + ord("0"), 0)
+    grid[:, 15] = magnitude // 10 % 10 + ord("0")
+    grid[:, 16] = magnitude % 10 + ord("0")
+    for i in np.flatnonzero(~fast):
+        text = b"%.9e" % flat[i]
+        grid[i, :17] = 0
+        grid[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    fields = grid.reshape(rows, columns, 18)
+    fields[:, :, 17] = ord(",")
+    fields[:, -1, 17] = ord("\n")
+    return grid.tobytes().replace(b"\0", b"")
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write ``header`` and one ``format_csv_rows`` line per entry of the
+    equal-length 1-D ``columns``, SWEEP_BLOCK_POINTS rows at a time."""
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    with open(path, "wb") as handle:
+        handle.write(header.encode() + b"\n")
+        for start in range(0, len(columns[0]), SWEEP_BLOCK_POINTS):
+            block = slice(start, start + SWEEP_BLOCK_POINTS)
+            handle.write(
+                format_csv_rows(np.column_stack([c[block] for c in columns]))
+            )
 
 
 def write_sweep_csv(response: FrequencyResponse, path) -> None:
     """Export a sweep as CSV: ``f_hz,s21_re,s21_im,s21_db``, one row per
-    point, %.9e formatting. Byte-stable for identical inputs."""
-    db = response.magnitude_db()
-    with open(path, "w", newline="") as handle:
-        handle.write("f_hz,s21_re,s21_im,s21_db\n")
-        for f, s, mag_db in zip(response.frequencies, response.s21, db):
-            handle.write(
-                "%.9e,%.9e,%.9e,%.9e\n" % (f, s.real, s.imag, mag_db)
-            )
+    point.
+
+    Byte contract: every field is exactly ``"%.9e" % value`` (``nan`` in
+    gap rows, ``-inf`` dB where S21 is exactly 0), so identical inputs give
+    identical files. ``format_csv_rows`` formats the rows with array
+    arithmetic and falls back to ``"%.9e" % value`` for values that are
+    non-finite, zero, subnormal or outside [1e-280, 1e280] in magnitude,
+    or whose ten-digit scaled mantissa lies within 1e-4 of a half-way point
+    or is at least 1e10 - 1.
+    """
+    s21 = response.s21
+    write_csv(
+        path,
+        "f_hz,s21_re,s21_im,s21_db",
+        (response.frequencies, s21.real, s21.imag, response.magnitude_db()),
+    )
 
 
 def fpw_device_response(

@@ -5,7 +5,8 @@ velocity is found by bisection on the residual of the loading balance
 (instead of fixed-point iteration), closed forms are written from scratch
 where one exists, and the resonator S21 is solved one frequency at a time
 through the literal 2x2 transfer-matrix chain (instead of the closed form
-evaluated over the frequency axis).
+evaluated over the frequency axis). The CSV writers format one value at a
+time with Python's own ``%.9e`` (instead of the array kernel).
 """
 
 import cmath
@@ -134,3 +135,22 @@ def chain_s21(frequency, geometry, params, drive_port=1):
     if drive_port == 1:
         return complex(pickup * (w4[0] + w5[1]))
     return complex(pickup * (w2[0] + w3[1]))
+
+
+def reference_sweep_csv(response, path):
+    """Sweep CSV written one row at a time with ``"%.9e" %`` formatting."""
+    db = response.magnitude_db()
+    with open(path, "w", newline="") as handle:
+        handle.write("f_hz,s21_re,s21_im,s21_db\n")
+        for f, s, mag_db in zip(response.frequencies, response.s21, db):
+            handle.write(
+                "%.9e,%.9e,%.9e,%.9e\n" % (f, s.real, s.imag, mag_db)
+            )
+
+
+def reference_csv(path, header, rows):
+    """CSV of arbitrary rows, each value in ``"%.9e" %`` formatting."""
+    with open(path, "w", newline="") as handle:
+        handle.write(header + "\n")
+        for row in rows:
+            handle.write(",".join("%.9e" % value for value in row) + "\n")

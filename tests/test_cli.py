@@ -1,9 +1,20 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from fpwsim import ConfigError, parse_device_config
-from fpwsim.cli import main, run
+from fpwsim import (
+    ConfigError,
+    LiquidLoad,
+    LoadingState,
+    loaded_velocity,
+    parse_device_config,
+    s21_sweep,
+)
+from fpwsim.cli import _bundled, main, run
 from fpwsim.config import parse_calibration_points, parse_density
 from conftest import WAVELENGTH
+from oracles import reference_csv
 
 MINIMAL_CONFIG = """
 [layer]
@@ -191,6 +202,28 @@ class TestDispersionCommand:
         assert lines[0] == "density_kg_m3,frequency_hz"
         assert len(lines) == 6
 
+    def test_density_sweep_csv_matches_row_oracle(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        # More rows than one block of the CSV writer.
+        result = run(
+            ["dispersion", "--liquid", "water", "--sweep-out", str(out),
+             "--sweep-densities", "10:3000:4500"]
+        )
+        assert result.exit_status == 0
+        cfg = parse_device_config(_bundled("reference_device.cfg"))
+        rows = [
+            (float(density), loaded_velocity(
+                cfg.plate(),
+                LoadingState(0.0, LiquidLoad(float(density), 1.0e-3)),
+                cfg.geometry.wavelength,
+            ).resonant_frequency)
+            for density in np.linspace(10.0, 3000.0, 4500)
+        ]
+        reference_csv(
+            tmp_path / "oracle.csv", "density_kg_m3,frequency_hz", rows
+        )
+        assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
 
 class TestS21Command:
     def test_bulk_sweep_csv_contract(self, tmp_path):
@@ -271,6 +304,29 @@ class TestS21Command:
         assert status == 1
         assert "error: response contains no finite points" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_gap_at_crossing_never_prints_nan(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A singular point exactly where |S21| first drops below -3 dB
+        # right of the peak; the summary must interpolate across it.
+        def gapped_sweep(*args, **kwargs):
+            response = s21_sweep(*args, **kwargs)
+            mags = np.abs(response.s21)
+            peak = int(np.argmax(mags))
+            below = np.flatnonzero(mags <= mags[peak] / np.sqrt(2.0))
+            gap = int(below[below > peak][0])
+            s21 = response.s21.copy()
+            s21[gap] = complex(np.nan, np.nan)
+            return replace(response, s21=s21, gap_indices=(gap,))
+
+        monkeypatch.setattr("fpwsim.cli.s21_sweep", gapped_sweep)
+        status = main(["s21", "--bulk", "--out", str(tmp_path / "gap.csv")])
+        captured = capsys.readouterr()
+        assert status == 0
+        assert "1 singular sweep points recorded as gaps" in captured.out
+        assert "nan" not in captured.out
+        assert captured.err == ""
 
 
 class TestFitInvertCommands:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,14 +24,16 @@ from fpwsim import (
     loaded_velocity,
     s21_sweep,
     spacing_matrix,
+    write_sweep_csv,
 )
-from fpwsim.com_resonator import port_coupling
+from fpwsim.com_resonator import format_csv_rows, port_coupling
 from conftest import WAVELENGTH
 from oracles import (
     bragg_reflection_magnitude,
     chain_elements,
     chain_s21,
     lorentzian_magnitude,
+    reference_sweep_csv,
 )
 
 BULK_F0 = 60e6  # 2400 m/s over 40 um
@@ -415,6 +418,123 @@ class TestFindResonance:
             find_resonance(
                 self._response(freqs, np.full(101, 0.5), bulk_geometry, bulk_params)
             )
+
+
+    def test_gap_at_crossing_is_skipped(self, bulk_geometry, bulk_params):
+        response = s21_sweep(bulk_geometry, bulk_params, points=2001)
+        clean = find_resonance(response)
+        mags = np.abs(response.s21)
+        peak = int(np.argmax(mags))
+        below = np.flatnonzero(mags <= mags[peak] / math.sqrt(2.0))
+        left, right = below[below < peak][-1], below[below > peak][0]
+        step = response.frequencies[1] - response.frequencies[0]
+        for gaps in ([right], [left], [left, right], [left, left + 1],
+                     [right - 1, right, right + 1]):
+            s21 = response.s21.copy()
+            s21[gaps] = complex(np.nan, np.nan)
+            gapped = replace(response, s21=s21, gap_indices=tuple(gaps))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                summary = find_resonance(gapped)
+            assert summary.peak_frequency == clean.peak_frequency
+            assert math.isfinite(summary.quality_factor)
+            # Each crossing stays within one grid step of the gap-free one.
+            assert abs(summary.bandwidth_3db - clean.bandwidth_3db) <= 2 * step
+
+    def test_gaps_hiding_every_crossing_rejected(
+        self, bulk_geometry, bulk_params
+    ):
+        response = s21_sweep(bulk_geometry, bulk_params, points=2001)
+        mags = np.abs(response.s21)
+        peak = int(np.argmax(mags))
+        gaps = [i for i in np.flatnonzero(mags <= mags[peak] / math.sqrt(2.0))
+                if i > peak]
+        s21 = response.s21.copy()
+        s21[gaps] = complex(np.nan, np.nan)
+        gapped = replace(response, s21=s21, gap_indices=tuple(gaps))
+        with pytest.raises(NoResonanceError, match="not bracketed"):
+            find_resonance(gapped)
+
+
+def _percent_formatted(values):
+    return "".join("%.9e\n" % value for value in values).encode()
+
+
+class TestCsvExport:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_fields_match_percent_format(self, values):
+        column = np.array(values, dtype=float)[:, None]
+        assert format_csv_rows(column) == _percent_formatted(values)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        digits=st.integers(10**9, 10**10 - 1),
+        exponent=st.integers(-320, 308),
+        sign=st.sampled_from((1.0, -1.0)),
+    )
+    def test_near_ties_match_percent_format(self, digits, exponent, sign):
+        # The double nearest the decimal half-way point d.ddddddddd5e<exp>.
+        value = sign * float(f"{digits}5e{exponent - 10}")
+        assert format_csv_rows(np.array([[value]])) == b"%.9e\n" % value
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            float("1.2345678905e-7"), 9.9999999995e-300, 9.9999999995e-5,
+            9.9999999995, 9.9999999995e100, 9.9999999995e279,
+            9.9999999995e307,
+            # Rounding up to the next power of ten.
+            9.99999999997e-5, 9.99999999997e200, float(np.nextafter(1e5, 0)),
+            # Exact decimal ties, which %.9e rounds half to even.
+            12345678905.0, 12345678915.0, 1234567890.5, 99999999995.0,
+            10000000005e5,
+            1e-280, 1e280, float(np.nextafter(1e-280, 0)),
+            float(np.nextafter(1e280, math.inf)), 5e-324,
+            2.2250738585072014e-308, 1.7976931348623157e308,
+            0.0, math.nan, math.inf,
+        ],
+    )
+    def test_edge_values_match_percent_format(self, value):
+        values = [value, -value]
+        column = np.array(values)[:, None]
+        assert format_csv_rows(column) == _percent_formatted(values)
+
+    def test_sweep_csv_matches_row_oracle_over_variants(
+        self, bulk_geometry, tmp_path
+    ):
+        rng = np.random.default_rng(31)
+        points = 4501  # three blocks of the writer
+        for variant in range(30):
+            geometry = replace(
+                bulk_geometry,
+                grating_strips=int(rng.integers(0, 200)),
+                idt_pairs=int(rng.integers(1, 60)),
+                grating_gap=float(rng.uniform(0.0, 40e-6)),
+            )
+            params = ComParameters(
+                free_velocity=2400.0,
+                strip_reflectivity=float(rng.uniform(0.0, 0.19)),
+                # Zero transduction gives S21 = 0 and -inf dB everywhere.
+                transduction_strength=0.0 if variant == 0
+                else float(rng.uniform(0.0, 0.9)),
+                attenuation=float(rng.uniform(0.0, 200.0)),
+            )
+            response = s21_sweep(
+                geometry, params, points=points, drive_port=variant % 2 + 1
+            )
+            gaps = np.union1d(
+                rng.choice(points, size=int(rng.integers(0, 40)), replace=False),
+                [0, 2047, 2048, points - 1] if variant % 3 == 0 else [],
+            ).astype(int)
+            s21 = response.s21.copy()
+            s21[gaps] = complex(np.nan, np.nan)
+            gapped = replace(response, s21=s21, gap_indices=tuple(gaps.tolist()))
+            write_sweep_csv(gapped, tmp_path / "kernel.csv")
+            reference_sweep_csv(gapped, tmp_path / "oracle.csv")
+            assert (tmp_path / "kernel.csv").read_bytes() == (
+                tmp_path / "oracle.csv"
+            ).read_bytes()
 
 
 class TestFpwDeviceResponse:
