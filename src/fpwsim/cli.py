@@ -44,6 +44,7 @@ from .fpw_dispersion import (
 from .liquid_sensing import (
     DegenerateFitError,
     LiquidSample,
+    PRESET_LIQUIDS,
     fit_density_sensitivity,
     invert_density_calibrated,
     load_liquid_library,
@@ -81,9 +82,8 @@ def _load_config(args) -> DeviceConfig:
 
 def _load_liquids(args) -> dict[str, LiquidSample]:
     if args.liquids is None:
-        text = _bundled("liquids.txt")
-    else:
-        text = Path(args.liquids).read_text()
+        return PRESET_LIQUIDS
+    text = Path(args.liquids).read_text()
     try:
         return load_liquid_library(text)
     except ValueError as exc:

@@ -10,8 +10,11 @@ tension T_x adds to the stiffness. The loaded velocity solves
 
     v_p = sqrt((T_x + B) / (M + rho_F delta_E + M_eta(omega)))
 
-self-consistently, since the viscous mass depends on the operating angular
-frequency omega = 2 pi v_p / wavelength.
+in closed form when the liquid is absent or inviscid, and by fixed-point
+iteration otherwise, since the viscous mass depends on the operating angular
+frequency omega = 2 pi v_p / wavelength. The inverse direction needs no
+iteration: at a measured frequency the relation is a quadratic in
+sqrt(rho_F) with exactly one positive root.
 
 The low-velocity approximation for delta_E requires v_p to stay well below
 the sound speed of the liquid; the solver reports the ratio against a
@@ -28,6 +31,7 @@ from .plate_materials import CompositePlate
 # Sound speed used for the v_p << c_liquid validity ratio (water at ~20 C).
 WATER_SOUND_SPEED = 1482.0
 
+# Viscous fixed-point solve in loaded_velocity; read at call time.
 REL_TOL = 1e-10
 MAX_ITERATIONS = 100
 
@@ -137,75 +141,54 @@ def resonant_frequency(phase_velocity: float, wavelength: float) -> float:
 
 
 def loaded_velocity(
-    plate: CompositePlate,
-    loading: LoadingState,
-    wavelength: float,
-    rel_tol: float = REL_TOL,
-    max_iterations: int = MAX_ITERATIONS,
+    plate: CompositePlate, loading: LoadingState, wavelength: float
 ) -> VelocitySolution:
-    """Solve the loaded phase velocity self-consistently.
+    """Solve the loaded phase velocity.
 
-    With no liquid (or an inviscid one) the expression is closed-form; a
-    viscous liquid couples the viscous mass to the operating frequency, so
-    the velocity is iterated to a relative tolerance ``rel_tol``, seeded at
-    the liquid-free velocity. Raises ConvergenceError (carrying the last
-    iterate) if the cap of ``max_iterations`` is exceeded.
+    With no liquid, a zero-density or an inviscid liquid the velocity is
+    the closed form sqrt((T + B) / (M + rho_F delta_E)) and ``iterations``
+    is 0. A viscous liquid couples the viscous mass to the operating
+    frequency, which has no closed form, so the velocity is iterated from
+    the liquid-free seed to the relative tolerance ``REL_TOL``. Raises
+    ConvergenceError (carrying the last iterate) after ``MAX_ITERATIONS``.
     """
-    bending = plate.bending_term(wavelength)
+    stiffness = loading.tension + plate.bending_term(wavelength)
     areal_mass = plate.mass_per_area
-    stiffness = loading.tension + bending
     liquid = loading.liquid
+    delta_e = evanescent_decay_length(wavelength)
+    density = 0.0 if liquid is None else liquid.density
+    base_mass = areal_mass + density * delta_e
 
     warnings: list[str] = []
-    delta_e = evanescent_decay_length(wavelength)
-
-    if liquid is None:
-        v = math.sqrt(stiffness / areal_mass)
-        return VelocitySolution(
-            phase_velocity=v,
-            resonant_frequency=v / wavelength,
-            evanescent_length=delta_e,
-            viscous_length=0.0,
-            viscous_mass=0.0,
-            iterations=0,
-            converged=True,
-            sound_speed_ratio=v / WATER_SOUND_SPEED,
-            warnings=(),
-        )
-
-    if not liquid.covers_decay_length:
+    if liquid is not None and not liquid.covers_decay_length:
         warnings.append(
             "liquid level below the evanescent decay length; entrained mass "
             "is overestimated and the density reading is unreliable"
         )
 
-    base_mass = areal_mass + liquid.density * delta_e
-    v = math.sqrt(stiffness / areal_mass)  # liquid-free seed
-    m_eta = 0.0
-    delta_v = 0.0
     iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
-        omega = 2.0 * math.pi * v / wavelength
-        delta_v, m_eta = viscous_mass(liquid, omega)
-        v_next = math.sqrt(stiffness / (base_mass + m_eta))
-        if abs(v_next - v) <= rel_tol * v_next:
-            v = v_next
-            converged = True
-            break
-        v = v_next
-    if not converged:
-        raise ConvergenceError(
-            f"loaded velocity did not converge within {max_iterations} "
-            f"iterations (last iterate {v:.9g} m/s)",
-            last_value=v,
-            iterations=iterations,
-        )
+    delta_v = m_eta = 0.0
+    if liquid is None or liquid.viscosity == 0:
+        v = math.sqrt(stiffness / base_mass)
+    else:
+        v = math.sqrt(stiffness / areal_mass)  # liquid-free seed
+        for iterations in range(1, MAX_ITERATIONS + 1):
+            _, m_eta = viscous_mass(liquid, 2.0 * math.pi * v / wavelength)
+            v, v_prev = math.sqrt(stiffness / (base_mass + m_eta)), v
+            if abs(v - v_prev) <= REL_TOL * v:
+                break
+        else:
+            raise ConvergenceError(
+                f"loaded velocity did not converge within {MAX_ITERATIONS} "
+                f"iterations (last iterate {v:.9g} m/s)",
+                last_value=v,
+                iterations=iterations,
+            )
+        # Report the viscous terms at the converged operating frequency.
+        delta_v, m_eta = viscous_mass(liquid, 2.0 * math.pi * v / wavelength)
 
-    # Report the viscous terms at the converged operating frequency.
-    delta_v, m_eta = viscous_mass(liquid, 2.0 * math.pi * v / wavelength)
     ratio = v / WATER_SOUND_SPEED
-    if ratio > 0.3:
+    if liquid is not None and ratio > 0.3:
         warnings.append(
             f"phase velocity is {ratio:.2f} of the liquid sound speed; the "
             "evanescent decay-length approximation degrades"
@@ -217,7 +200,7 @@ def loaded_velocity(
         viscous_length=delta_v,
         viscous_mass=m_eta,
         iterations=iterations,
-        converged=converged,
+        converged=True,
         sound_speed_ratio=ratio,
         warnings=tuple(warnings),
     )
@@ -255,23 +238,26 @@ def density_from_frequency(
     wavelength: float,
     assumed_viscosity: float = 0.0,
     tension: float = 0.0,
-    rel_tol: float = REL_TOL,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> float:
     """Invert the loading relation for the liquid density (kg/m^3).
 
-    With zero assumed viscosity the inversion is closed-form; otherwise the
-    viscous mass is eliminated by fixed-point iteration at the measured
-    operating frequency. Frequencies at or above the liquid-free resonance
-    imply a non-positive density and raise NoSolutionError.
+    At the measured frequency f the added mass dm = rho delta_E + M_eta is
+    known, and M_eta = b sqrt(rho) with b = sqrt(eta / (4 pi f)), so
+    s = sqrt(rho) is the positive root of delta_E s^2 + b s - dm = 0, taken
+    in the cancellation-free form
+
+        s = 2 dm / (b + sqrt(b^2 + 4 delta_E dm)),
+
+    which reduces to rho = dm / delta_E for zero viscosity. No iteration is
+    needed. Frequencies at or above the liquid-free resonance imply a
+    non-positive density and raise NoSolutionError.
     """
     if measured_frequency <= 0:
         raise ValueError("measured frequency must be > 0")
     if assumed_viscosity < 0:
         raise ValueError("assumed viscosity must be >= 0")
-    bending = plate.bending_term(wavelength)
+    stiffness = tension + plate.bending_term(wavelength)
     areal_mass = plate.mass_per_area
-    stiffness = tension + bending
     unloaded_f = math.sqrt(stiffness / areal_mass) / wavelength
     if measured_frequency >= unloaded_f:
         raise NoSolutionError(
@@ -283,27 +269,6 @@ def density_from_frequency(
     v = measured_frequency * wavelength
     delta_e = evanescent_decay_length(wavelength)
     added_mass = stiffness / v**2 - areal_mass  # rho delta_E + M_eta
-    if assumed_viscosity == 0.0:
-        return added_mass / delta_e
-
-    omega = 2.0 * math.pi * measured_frequency
-    rho = added_mass / delta_e  # inviscid seed
-    for _ in range(max_iterations):
-        # M_eta = rho delta_v / 2 = sqrt(eta rho / (2 omega))
-        m_eta = math.sqrt(assumed_viscosity * rho / (2.0 * omega))
-        remainder = added_mass - m_eta
-        if remainder <= 0:
-            raise NoSolutionError(
-                "assumed viscosity absorbs the entire added mass; no "
-                "positive density solves the loading relation"
-            )
-        rho_next = remainder / delta_e
-        if abs(rho_next - rho) <= rel_tol * rho_next:
-            return rho_next
-        rho = rho_next
-    raise ConvergenceError(
-        f"density inversion did not converge within {max_iterations} "
-        f"iterations (last iterate {rho:.9g} kg/m^3)",
-        last_value=rho,
-        iterations=max_iterations,
-    )
+    b = math.sqrt(assumed_viscosity / (4.0 * math.pi * measured_frequency))
+    s = 2.0 * added_mass / (b + math.sqrt(b * b + 4.0 * delta_e * added_mass))
+    return s * s

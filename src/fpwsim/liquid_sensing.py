@@ -14,6 +14,7 @@ not model outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import resources
 from typing import Iterable
 
 import numpy as np
@@ -92,15 +93,6 @@ class CouplingReport:
     density_sensing_valid: bool
     verdict: str
     operating_point: VelocitySolution
-
-
-# Liquids the device was characterized with. Saline viscosity is nominal.
-PRESET_LIQUIDS: dict[str, LiquidSample] = {
-    "ipa": LiquidSample("ipa", 787.0, 0.0025),
-    "water": LiquidSample("water", 1000.0, 0.001),
-    "saline": LiquidSample("saline", 1200.0, 0.0015),
-    "glycerol": LiquidSample("glycerol", 1200.0, 0.934),
-}
 
 
 def fit_density_sensitivity(
@@ -295,3 +287,9 @@ def load_liquid_library(text: str) -> dict[str, LiquidSample]:
             raise ValueError(f"liquid library line {lineno}: {exc}") from None
         liquids[name] = LiquidSample(name, density, viscosity)
     return liquids
+
+
+# Liquids the device was characterized with: the bundled library.
+PRESET_LIQUIDS: dict[str, LiquidSample] = load_liquid_library(
+    resources.files("fpwsim").joinpath("data", "liquids.txt").read_text()
+)

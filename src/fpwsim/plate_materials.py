@@ -166,10 +166,6 @@ class CompositePlate:
         stack = tuple(layers)
         _require_layers(stack)
         ov = dict(overrides or {})
-        for key in ov:
-            if key not in OVERRIDABLE_PARAMETERS:
-                raise ValueError(f"unknown override parameter {key!r}")
-
         e_eff = ov.get("young_modulus", effective_young_modulus(stack))
         nu_eff = ov.get("poisson_ratio", effective_poisson(stack))
         return cls(

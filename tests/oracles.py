@@ -1,12 +1,13 @@
 """Independent reference implementations used to check the package.
 
 Everything here deliberately avoids the code paths under test: the loaded
-velocity is found by bisection on the residual of the loading balance
-(instead of fixed-point iteration), closed forms are written from scratch
-where one exists, and the resonator S21 is solved one frequency at a time
-through the literal 2x2 transfer-matrix chain (instead of the closed form
-evaluated over the frequency axis). The CSV writers format one value at a
-time with Python's own ``%.9e`` (instead of the array kernel).
+velocity and the liquid density are found by bisection on the residual of
+the loading balance (instead of fixed-point iteration and the quadratic
+root), closed forms are written from scratch where one exists, and the
+resonator S21 is solved one frequency at a time through the literal 2x2
+transfer-matrix chain (instead of the closed form evaluated over the
+frequency axis). The CSV writers format one value at a time with Python's
+own ``%.9e`` (instead of the array kernel).
 """
 
 import cmath
@@ -53,6 +54,36 @@ def closed_form_density(frequency, bending, areal_mass, tension, wavelength):
     v = frequency * wavelength
     entrain = wavelength / (2.0 * math.pi)
     return ((tension + bending) / v**2 - areal_mass) / entrain
+
+
+def bisect_density(frequency, bending, areal_mass, tension, viscosity,
+                   wavelength, steps=200):
+    """Liquid density by bisection on the loading residual at fixed frequency.
+
+    The residual v^2 (M + rho delta_E + M_eta) - (T + B), with v the
+    frequency times the wavelength and M_eta = sqrt(eta rho / (4 pi f)),
+    rises with rho. Zero density brackets it from below and twice the
+    inviscid density (M_eta >= 0) from above.
+    """
+    v = frequency * wavelength
+    entrain = wavelength / (2.0 * math.pi)
+
+    def residual(rho):
+        m_eta = math.sqrt(viscosity * rho / (4.0 * math.pi * frequency))
+        return v * v * (areal_mass + rho * entrain + m_eta) - (
+            tension + bending
+        )
+
+    lo = 0.0
+    hi = 2.0 * closed_form_density(frequency, bending, areal_mass, tension,
+                                   wavelength)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if residual(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def bragg_reflection_magnitude(strips, strip_reflectivity):

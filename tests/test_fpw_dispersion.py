@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fpwsim import (
     ConvergenceError,
@@ -16,9 +17,10 @@ from fpwsim import (
     unloaded_velocity,
     viscous_mass,
 )
+from fpwsim import fpw_dispersion
 from fpwsim.fpw_dispersion import mass_sensitivity, tension_sensitivity
 from conftest import PUBLISHED, WAVELENGTH
-from oracles import bisect_loaded_velocity, closed_form_density
+from oracles import bisect_density, bisect_loaded_velocity, closed_form_density
 
 DELTA_E = WAVELENGTH / (2 * math.pi)  # 6.366197723e-06 m
 
@@ -126,16 +128,28 @@ class TestLoadedVelocity:
         solution = loaded_velocity(pinned_plate, load, WAVELENGTH)
         assert any("decay length" in w for w in solution.warnings)
 
-    def test_iteration_cap_raises_with_last_iterate(self, pinned_plate):
+    def test_iteration_cap_raises_with_last_iterate(
+        self, pinned_plate, monkeypatch
+    ):
+        monkeypatch.setattr(fpw_dispersion, "MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError) as err:
             loaded_velocity(
                 pinned_plate,
                 LoadingState(0.0, LiquidLoad(1000.0, 0.001)),
                 WAVELENGTH,
-                max_iterations=1,
             )
         assert err.value.last_value > 0
         assert err.value.iterations == 1
+
+    def test_inviscid_liquid_is_closed_form(self, pinned_plate):
+        tension, density = 10.0, 1000.0
+        solution = loaded_velocity(
+            pinned_plate, LoadingState(tension, LiquidLoad(density)), WAVELENGTH
+        )
+        stiffness = tension + pinned_plate.bending_term(WAVELENGTH)
+        mass = pinned_plate.mass_per_area + density * DELTA_E
+        assert solution.iterations == 0
+        assert solution.phase_velocity == math.sqrt(stiffness / mass)
 
     def test_tension_increases_velocity(self, pinned_plate):
         load = LiquidLoad(1000.0, 0.001)
@@ -229,6 +243,20 @@ class TestResonantFrequency:
         assert resonant_frequency(1.0, 1.0) == 1.0
 
 
+def _round_trip(plate, density, viscosity, tension=0.0):
+    """Density recovered from the frequency the loading model predicts."""
+    solution = loaded_velocity(
+        plate, LoadingState(tension, LiquidLoad(density, viscosity)), WAVELENGTH
+    )
+    return density_from_frequency(
+        solution.resonant_frequency,
+        plate,
+        WAVELENGTH,
+        assumed_viscosity=viscosity,
+        tension=tension,
+    )
+
+
 class TestDensityFromFrequency:
     def test_round_trip_inviscid(self, pinned_plate):
         solution = loaded_velocity(
@@ -266,6 +294,56 @@ class TestDensityFromFrequency:
     def test_frequency_above_unloaded_rejected(self, pinned_plate):
         with pytest.raises(NoSolutionError):
             density_from_frequency(5.9e6, pinned_plate, WAVELENGTH)
+
+    @pytest.mark.parametrize(
+        "density, viscosity",
+        [(10.0, 1.0), (100.0, 1.0), (120.0, 1.0), (50.0, 0.5), (60.0, 0.5)],
+    )
+    def test_round_trip_low_density_viscous(
+        self, pinned_plate, density, viscosity
+    ):
+        recovered = _round_trip(pinned_plate, density, viscosity)
+        assert recovered == pytest.approx(density, rel=1e-8)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        density=st.floats(1.0, 2000.0),
+        viscosity=st.floats(0.0, 1.0),
+        tension=st.floats(0.0, 50.0),
+    )
+    def test_round_trip_over_validated_inputs(
+        self, pinned_plate, density, viscosity, tension
+    ):
+        recovered = _round_trip(pinned_plate, density, viscosity, tension)
+        assert recovered == pytest.approx(density, rel=1e-8)
+
+    def test_matches_bisection_oracle(self, pinned_plate):
+        bending = pinned_plate.bending_term(WAVELENGTH)
+        areal_mass = pinned_plate.mass_per_area
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            tension = float(rng.uniform(0.0, 50.0))
+            viscosity = float(rng.uniform(0.0, 1.0))
+            unloaded_f = math.sqrt((tension + bending) / areal_mass) / WAVELENGTH
+            # Log-spaced shifts below the liquid-free resonance reach
+            # densities under 1 kg/m^3.
+            shift = 10.0 ** float(rng.uniform(-4.0, -0.5))
+            frequency = (1.0 - shift) * unloaded_f
+            value = density_from_frequency(
+                frequency,
+                pinned_plate,
+                WAVELENGTH,
+                assumed_viscosity=viscosity,
+                tension=tension,
+            )
+            oracle = bisect_density(
+                frequency, bending, areal_mass, tension, viscosity, WAVELENGTH
+            )
+            assert value == pytest.approx(oracle, rel=1e-9)
 
 
 class TestLoadTypes:
