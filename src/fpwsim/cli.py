@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .com_resonator import (
+    DEFAULT_SWEEP_POINTS,
     NoResonanceError,
     find_resonance,
     fpw_device_response,
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="add viscous propagation loss (fpw mode)",
     )
     p_s21.add_argument("--out", required=True, help="output CSV path")
-    p_s21.add_argument("--points", type=int, default=2001)
+    p_s21.add_argument("--points", type=int, default=DEFAULT_SWEEP_POINTS)
     p_s21.add_argument("--f-start", type=float, default=None)
     p_s21.add_argument("--f-stop", type=float, default=None)
     p_s21.set_defaults(func=_cmd_s21)

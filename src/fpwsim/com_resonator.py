@@ -105,7 +105,6 @@ class DeviceGeometry:
     overlap: float = 50.0
     idt_separation: float = 10.0
     grating_gap: float = 5.0e-6
-    metallization_ratio: float = 0.5
 
     def __post_init__(self):
         if self.wavelength <= 0:
@@ -120,8 +119,6 @@ class DeviceGeometry:
             raise ValueError("idt_separation must be >= 0")
         if self.grating_gap < 0:
             raise ValueError("grating_gap must be >= 0")
-        if not 0 < self.metallization_ratio < 1:
-            raise ValueError("metallization_ratio must lie in (0, 1)")
 
     @property
     def idt_length(self) -> float:
@@ -244,10 +241,6 @@ def grating_entries(frequencies, geometry: DeviceGeometry, params: ComParameters
     oscillatory outside; zero strips give the identity.
     """
     frequencies = np.asarray(frequencies, dtype=float)
-    if geometry.grating_strips == 0:
-        one = np.ones(frequencies.shape, dtype=complex)
-        zero = np.zeros(frequencies.shape, dtype=complex)
-        return one, zero, zero, one
     length = geometry.grating_length
     kappa = (
         2.0 * params.strip_reflectivity / geometry.wavelength

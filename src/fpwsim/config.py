@@ -9,7 +9,8 @@ surface immediately. All values are SI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Iterator, get_type_hints
 
 from .com_resonator import ComParameters, DeviceGeometry, design_spacing
 from .plate_materials import OVERRIDABLE_PARAMETERS, CompositePlate, MaterialLayer
@@ -25,28 +26,33 @@ class ConfigError(ValueError):
         self.lineno = lineno
 
 
-_LAYER_KEYS = {"name", "thickness", "young_modulus", "poisson_ratio", "density"}
-_LAYER_REQUIRED = {"thickness", "young_modulus", "poisson_ratio", "density"}
-_GEOMETRY_KEYS = {
-    "wavelength",
-    "idt_pairs",
-    "grating_strips",
-    "overlap",
-    "idt_separation",
-    "spacing_index",
-    "grating_gap",
-    "metallization_ratio",
+def _value_types(cls) -> dict[str, type]:
+    """Field name -> config value type (int, str or float) of a dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: {int: int, str: str}.get(hints[f.name], float) for f in fields(cls)}
+
+
+# Section -> key -> value type. The dataclasses are the schema; the only
+# extras are the geometry's spacing_index and the com velocity's name.
+_SCHEMA: dict[str, dict[str, type]] = {
+    "layer": _value_types(MaterialLayer),
+    "geometry": {**_value_types(DeviceGeometry), "spacing_index": int},
+    "com": {
+        "velocity" if key == "free_velocity" else key: kind
+        for key, kind in _value_types(ComParameters).items()
+    },
+    "override": dict.fromkeys(OVERRIDABLE_PARAMETERS, float),
 }
-_GEOMETRY_INT_KEYS = {"idt_pairs", "grating_strips", "spacing_index"}
-_COM_KEYS = {
-    "velocity",
-    "strip_reflectivity",
-    "reflection_phase",
-    "transduction_strength",
-    "static_capacitance_per_pair",
-    "attenuation",
-}
-_SECTIONS = {"layer", "geometry", "com", "override"}
+_LAYER_REQUIRED = {f.name for f in fields(MaterialLayer) if f.default is MISSING}
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(lineno, raw, line)`` for each line with content: its 1-based
+    number, the line as written and its stripped text before any ``#``."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, raw, line
 
 
 @dataclass(frozen=True)
@@ -75,59 +81,36 @@ class DeviceConfig:
         return ComParameters(free_velocity=velocity, **self.com_settings)
 
 
-def _parse_float(value: str, key: str, lineno: int) -> float:
+def _build_layer(entries: dict[str, object], index: int, lineno: int) -> MaterialLayer:
+    """Validated layer of one ``[layer]`` section, named ``layer<index>`` if unnamed."""
+    entries.setdefault("name", f"layer{index}")
+    missing = _LAYER_REQUIRED - entries.keys()
+    if missing:
+        raise ConfigError(f"[layer] section is missing {sorted(missing)}", lineno)
     try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"malformed number {value!r} for key {key!r}", lineno)
-
-
-def _parse_int(value: str, key: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"malformed integer {value!r} for key {key!r}", lineno)
+        return MaterialLayer(**entries)  # type: ignore[arg-type]
+    except ValueError as exc:
+        raise ConfigError(str(exc), lineno) from None
 
 
 def parse_device_config(text: str) -> DeviceConfig:
     """Parse and validate a device configuration."""
-    section: str | None = None
+    sections: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
     layers: list[MaterialLayer] = []
-    current_layer: dict[str, object] | None = None
-    layer_lineno = 0
-    geometry: dict[str, object] = {}
-    com: dict[str, float] = {}
-    overrides: dict[str, float] = {}
+    section: str | None = None
+    section_lineno = 0
+    entries: dict[str, object] = {}
 
-    def close_layer():
-        nonlocal current_layer
-        if current_layer is None:
-            return
-        missing = _LAYER_REQUIRED - current_layer.keys()
-        if missing:
-            raise ConfigError(
-                f"[layer] section is missing {sorted(missing)}", layer_lineno
-            )
-        current_layer.setdefault("name", f"layer{len(layers) + 1}")
-        try:
-            layers.append(MaterialLayer(**current_layer))  # type: ignore[arg-type]
-        except ValueError as exc:
-            raise ConfigError(str(exc), layer_lineno) from None
-        current_layer = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in content_lines(text):
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
+            if name not in _SCHEMA:
                 raise ConfigError(f"unknown section [{name}]", lineno)
-            close_layer()
-            section = name
-            if name == "layer":
-                current_layer = {}
-                layer_lineno = lineno
+            # A layer is built, and its errors reported, when it closes.
+            if section == "layer":
+                layers.append(_build_layer(entries, len(layers) + 1, section_lineno))
+            section, section_lineno = name, lineno
+            entries = {} if name == "layer" else sections[name]
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno)
@@ -138,60 +121,39 @@ def parse_device_config(text: str) -> DeviceConfig:
         value = value.strip()
         if not value:
             raise ConfigError(f"empty value for key {key!r}", lineno)
+        kind = _SCHEMA[section].get(key)
+        if kind is None:
+            raise ConfigError(f"unknown [{section}] key {key!r}", lineno)
+        if key in entries:
+            raise ConfigError(f"duplicate [{section}] key {key!r}", lineno)
+        try:
+            entries[key] = kind(value)
+        except ValueError:
+            number = "integer" if kind is int else "number"
+            raise ConfigError(
+                f"malformed {number} {value!r} for key {key!r}", lineno
+            ) from None
+    if section == "layer":
+        layers.append(_build_layer(entries, len(layers) + 1, section_lineno))
 
-        if section == "layer":
-            if key not in _LAYER_KEYS:
-                raise ConfigError(f"unknown [layer] key {key!r}", lineno)
-            assert current_layer is not None
-            if key in current_layer:
-                raise ConfigError(f"duplicate [layer] key {key!r}", lineno)
-            current_layer[key] = (
-                value if key == "name" else _parse_float(value, key, lineno)
-            )
-        elif section == "geometry":
-            if key not in _GEOMETRY_KEYS:
-                raise ConfigError(f"unknown [geometry] key {key!r}", lineno)
-            if key in geometry:
-                raise ConfigError(f"duplicate [geometry] key {key!r}", lineno)
-            geometry[key] = (
-                _parse_int(value, key, lineno)
-                if key in _GEOMETRY_INT_KEYS
-                else _parse_float(value, key, lineno)
-            )
-        elif section == "com":
-            if key not in _COM_KEYS:
-                raise ConfigError(f"unknown [com] key {key!r}", lineno)
-            if key in com:
-                raise ConfigError(f"duplicate [com] key {key!r}", lineno)
-            com[key] = _parse_float(value, key, lineno)
-        elif section == "override":
-            if key not in OVERRIDABLE_PARAMETERS:
-                raise ConfigError(f"unknown [override] key {key!r}", lineno)
-            if key in overrides:
-                raise ConfigError(f"duplicate [override] key {key!r}", lineno)
-            overrides[key] = _parse_float(value, key, lineno)
-    close_layer()
-
+    geometry, com = sections["geometry"], sections["com"]
     if "wavelength" not in geometry:
         raise ConfigError("missing required [geometry] key 'wavelength'")
     if "spacing_index" in geometry and "grating_gap" in geometry:
         raise ConfigError(
             "specify either [geometry] spacing_index or grating_gap, not both"
         )
-    spacing_index = geometry.pop("spacing_index", 0)
     if "grating_gap" not in geometry:
-        geometry["grating_gap"] = design_spacing(
-            spacing_index, geometry["wavelength"]
-        )
+        index = geometry.pop("spacing_index", 0)
+        geometry["grating_gap"] = design_spacing(index, geometry["wavelength"])
 
     com_velocity = com.pop("velocity", None)
     try:
         device_geometry = DeviceGeometry(**geometry)  # type: ignore[arg-type]
-        if com_velocity is not None:
-            # Validate the COM settings eagerly against a real velocity.
-            ComParameters(free_velocity=com_velocity, **com)
-        else:
-            ComParameters(free_velocity=1.0, **com)
+        # Validate the COM settings eagerly, at a stand-in velocity if none.
+        ComParameters(
+            free_velocity=1.0 if com_velocity is None else com_velocity, **com
+        )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -200,7 +162,7 @@ def parse_device_config(text: str) -> DeviceConfig:
         geometry=device_geometry,
         com_velocity=com_velocity,
         com_settings=com,
-        overrides=overrides,
+        overrides=sections["override"],
     )
 
 
@@ -220,18 +182,15 @@ def parse_calibration_points(text: str) -> list[tuple[float, float]]:
     ``#`` starts a comment.
     """
     points: list[tuple[float, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
+    for lineno, raw, line in content_lines(text):
+        tokens = line.split()
+        if len(tokens) != 2:
             raise ValueError(
                 f"points file line {lineno}: expected 'density frequency', "
                 f"got {raw!r}"
             )
         try:
-            points.append((parse_density(fields[0]), float(fields[1])))
+            points.append((parse_density(tokens[0]), float(tokens[1])))
         except ValueError as exc:
             raise ValueError(f"points file line {lineno}: {exc}") from None
     return points

@@ -19,6 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .config import content_lines
 from .fpw_dispersion import (
     LiquidLoad,
     LoadingState,
@@ -269,10 +270,7 @@ def load_liquid_library(text: str) -> dict[str, LiquidSample]:
     Densities in kg/m^3, viscosities in Pa*s; ``#`` starts a comment.
     """
     liquids: dict[str, LiquidSample] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in content_lines(text):
         fields = line.split()
         if len(fields) != 3:
             raise ValueError(

@@ -1,12 +1,15 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from fpwsim import (
+    ComParameters,
     ConfigError,
+    DeviceGeometry,
     LiquidLoad,
     LoadingState,
+    MaterialLayer,
     loaded_velocity,
     parse_device_config,
     s21_sweep,
@@ -115,6 +118,59 @@ class TestParseDeviceConfig:
         cfg = parse_device_config(_bundled("reference_device.cfg"))
         assert [l.name for l in cfg.layers] == ["SiNx", "PZT+LSMO"]
 
+    @pytest.mark.parametrize(
+        "text, first_error",
+        [
+            (
+                "[layer]\nthickness = 1e-6\n[geometry]\nwavelenght = 40e-6\n",
+                r"^line 1: \[layer\] section is missing",
+            ),
+            (
+                "[layer]\nthickness = 1e-6\nyoung_modulus = 1e11\n"
+                "poisson_ratio = 0.3\ndensity = -1\n[geometry]\nwavelength = x\n",
+                r"^line 1: layer 'layer1': density must be > 0$",
+            ),
+        ],
+    )
+    def test_layer_error_reported_before_later_lines(self, text, first_error):
+        with pytest.raises(ConfigError, match=first_error):
+            parse_device_config(text)
+
+    def test_every_dataclass_field_is_a_key(self):
+        # Distinct values, so one landing in the wrong field shows; the
+        # Python type of each value is the type the field must come back as.
+        layer = dict(
+            name="film", thickness=1.5e-6, young_modulus=2e11,
+            poisson_ratio=0.21, density=2500.0,
+        )
+        geometry = dict(
+            wavelength=3e-5, idt_pairs=7, grating_strips=12, overlap=33.0,
+            idt_separation=4.5, grating_gap=2e-6,
+        )
+        com = dict(
+            free_velocity=2100.0, strip_reflectivity=0.03, reflection_phase=0.1,
+            transduction_strength=0.2, static_capacitance_per_pair=2e-12,
+            attenuation=3.0,
+        )
+        sections = [
+            ("layer", MaterialLayer, layer),
+            ("geometry", DeviceGeometry, geometry),
+            ("com", ComParameters, com),
+        ]
+        text = ""
+        for section, cls, values in sections:
+            assert set(values) == {f.name for f in fields(cls)}
+            text += f"[{section}]\n"
+            for name, value in values.items():
+                key = "velocity" if name == "free_velocity" else name
+                text += f"{key} = {value}\n"
+        cfg = parse_device_config(text)
+        built = [cfg.layers[0], cfg.geometry, cfg.com_parameters()]
+        for (_, _, values), obj in zip(sections, built):
+            for name, value in values.items():
+                got = getattr(obj, name)
+                assert (name, got, type(got)) == (name, value, type(value))
+
 
 class TestDensityParsing:
     def test_si_plain(self):
@@ -131,6 +187,12 @@ class TestDensityParsing:
     def test_points_file_bad_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_calibration_points("only_one_field\n")
+
+    @pytest.mark.parametrize("bad_line", ["only_one_field", "dense 4.75e6"])
+    def test_bad_line_after_comments_names_its_line(self, bad_line):
+        text = f"# density frequency\n\n   \n  # note\n1.0g/cm3 4.75e6\n{bad_line}\n"
+        with pytest.raises(ValueError, match="^points file line 6: "):
+            parse_calibration_points(text)
 
 
 class TestPlateCommand:

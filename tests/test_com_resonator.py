@@ -178,7 +178,6 @@ valid_geometries = st.builds(
     overlap=st.floats(0.5, 500.0),
     idt_separation=st.floats(0.0, 100.0),
     grating_gap=st.floats(0.0, 1e-3),
-    metallization_ratio=st.floats(0.01, 0.99),
 )
 valid_parameters = st.builds(
     ComParameters,
@@ -598,8 +597,6 @@ class TestGeometryValidation:
             DeviceGeometry(wavelength=WAVELENGTH, idt_pairs=0)
         with pytest.raises(ValueError):
             DeviceGeometry(wavelength=WAVELENGTH, grating_strips=-1)
-        with pytest.raises(ValueError):
-            DeviceGeometry(wavelength=WAVELENGTH, metallization_ratio=1.0)
 
     def test_com_parameter_ranges(self):
         with pytest.raises(ValueError):

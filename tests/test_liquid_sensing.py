@@ -260,6 +260,12 @@ class TestLiquidLibrary:
         with pytest.raises(ValueError, match="line 1"):
             load_liquid_library("water thick 0.001\n")
 
+    @pytest.mark.parametrize("bad_line", ["broken 1", "water thick 0.001"])
+    def test_bad_line_after_comments_names_its_line(self, bad_line):
+        text = f"# liquids\n\n   \n  # note\nsaline 1200 0.0015\n{bad_line}\n"
+        with pytest.raises(ValueError, match="^liquid library line 6: "):
+            load_liquid_library(text)
+
 
 class TestDomainTypes:
     def test_liquid_sample_validation(self):
