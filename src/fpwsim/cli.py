@@ -35,7 +35,6 @@ from .config import (
     parse_device_config,
 )
 from .fpw_dispersion import (
-    ConvergenceError,
     LiquidLoad,
     LoadingState,
     NoSolutionError,
@@ -380,7 +379,7 @@ def run(argv=None) -> RunResult:
             errors=(f"cannot read {exc.filename!r}",),
             exit_status=2,
         )
-    except (ConvergenceError, NoResonanceError, NoSolutionError) as exc:
+    except (NoResonanceError, NoSolutionError) as exc:
         return RunResult(command=command, errors=(str(exc),), exit_status=1)
 
 

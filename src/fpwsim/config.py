@@ -100,6 +100,7 @@ def parse_device_config(text: str) -> DeviceConfig:
     section: str | None = None
     section_lineno = 0
     entries: dict[str, object] = {}
+    key_lines: dict[tuple[str, str], int] = {}
 
     for lineno, raw, line in content_lines(text):
         if line.startswith("[") and line.endswith("]"):
@@ -126,6 +127,7 @@ def parse_device_config(text: str) -> DeviceConfig:
             raise ConfigError(f"unknown [{section}] key {key!r}", lineno)
         if key in entries:
             raise ConfigError(f"duplicate [{section}] key {key!r}", lineno)
+        key_lines[section, key] = lineno
         try:
             entries[key] = kind(value)
         except ValueError:
@@ -145,7 +147,11 @@ def parse_device_config(text: str) -> DeviceConfig:
         )
     if "grating_gap" not in geometry:
         index = geometry.pop("spacing_index", 0)
-        geometry["grating_gap"] = design_spacing(index, geometry["wavelength"])
+        try:
+            geometry["grating_gap"] = design_spacing(index, geometry["wavelength"])
+        except ValueError as exc:
+            key = "spacing_index" if index < 0 else "wavelength"
+            raise ConfigError(str(exc), key_lines["geometry", key]) from None
 
     com_velocity = com.pop("velocity", None)
     try:

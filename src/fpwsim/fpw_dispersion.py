@@ -10,11 +10,11 @@ tension T_x adds to the stiffness. The loaded velocity solves
 
     v_p = sqrt((T_x + B) / (M + rho_F delta_E + M_eta(omega)))
 
-in closed form when the liquid is absent or inviscid, and by fixed-point
-iteration otherwise, since the viscous mass depends on the operating angular
-frequency omega = 2 pi v_p / wavelength. The inverse direction needs no
-iteration: at a measured frequency the relation is a quadratic in
-sqrt(rho_F) with exactly one positive root.
+in closed form. The viscous mass depends on the operating angular frequency
+omega = 2 pi v_p / wavelength as M_eta = sqrt(rho_F eta wavelength / (4 pi
+v_p)), so the relation is a depressed quartic in v_p^(-1/2) whose one
+positive root follows from Ferrari's resolvent cubic. The inverse is a
+quadratic in sqrt(rho_F) with one positive root.
 
 The low-velocity approximation for delta_E requires v_p to stay well below
 the sound speed of the liquid; the solver reports the ratio against a
@@ -31,18 +31,9 @@ from .plate_materials import CompositePlate
 # Sound speed used for the v_p << c_liquid validity ratio (water at ~20 C).
 WATER_SOUND_SPEED = 1482.0
 
-# Viscous fixed-point solve in loaded_velocity; read at call time.
-REL_TOL = 1e-10
-MAX_ITERATIONS = 100
-
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration failed to converge; carries the last iterate."""
-
-    def __init__(self, message: str, last_value: float, iterations: int):
-        super().__init__(message)
-        self.last_value = last_value
-        self.iterations = iterations
+    """Kept for callers that catch it; every solve is closed form now."""
 
 
 class NoSolutionError(ValueError):
@@ -86,7 +77,7 @@ class LoadingState:
 
 @dataclass(frozen=True)
 class VelocitySolution:
-    """Converged loading solution.
+    """Closed-form loading solution (``iterations`` 0, ``converged`` True).
 
     phase_velocity in m/s, resonant_frequency in Hz, lengths in m,
     viscous_mass in kg/m^2. ``sound_speed_ratio`` is phase velocity over
@@ -140,24 +131,42 @@ def resonant_frequency(phase_velocity: float, wavelength: float) -> float:
     return phase_velocity / wavelength
 
 
+def _phase_velocity(
+    plate: CompositePlate, wavelength: float, tension: float, rho: float, eta: float
+) -> float:
+    """Loaded phase velocity (m/s), the one root of the loading balance.
+
+    With v0 the inviscid velocity and eps = M_eta(v0) / (M + rho delta_E),
+    x = sqrt(v0 / v) solves x^4 - eps x - 1 = 0. y = 2h / d is the root
+    a - 1/(3a) of Ferrari's resolvent cubic y^3 + y = eps^2 / 8, free of
+    cancellation at small eps."""
+    stiffness = tension + plate.bending_term(wavelength)
+    base_mass = plate.mass_per_area + rho * evanescent_decay_length(wavelength)
+    v0 = math.sqrt(stiffness / base_mass)
+    if eta == 0:
+        return v0
+    eps = math.sqrt(rho * eta * wavelength / (4.0 * math.pi * v0)) / base_mass
+    h = eps * eps / 16.0
+    a = (h + math.sqrt(h * h + 1.0 / 27.0)) ** (1.0 / 3.0)
+    b = 1.0 / (3.0 * a)
+    d = a * a + 1.0 / 3.0 + b * b
+    m = 2.0 * h / d
+    x = (math.sqrt(2.0 * m) + math.sqrt(4.0 * math.sqrt(d) - 2.0 * m)) / 2.0
+    return v0 / (x * x)
+
+
 def loaded_velocity(
     plate: CompositePlate, loading: LoadingState, wavelength: float
 ) -> VelocitySolution:
     """Solve the loaded phase velocity.
 
-    With no liquid, a zero-density or an inviscid liquid the velocity is
-    the closed form sqrt((T + B) / (M + rho_F delta_E)) and ``iterations``
-    is 0. A viscous liquid couples the viscous mass to the operating
-    frequency, which has no closed form, so the velocity is iterated from
-    the liquid-free seed to the relative tolerance ``REL_TOL``. Raises
-    ConvergenceError (carrying the last iterate) after ``MAX_ITERATIONS``.
+    Closed form: sqrt((T + B) / (M + rho_F delta_E)) with no liquid or an
+    inviscid one, else the positive root of the quartic in v^(-1/2) from
+    Ferrari's resolvent cubic, with the viscous terms at that frequency.
     """
-    stiffness = loading.tension + plate.bending_term(wavelength)
-    areal_mass = plate.mass_per_area
     liquid = loading.liquid
-    delta_e = evanescent_decay_length(wavelength)
-    density = 0.0 if liquid is None else liquid.density
-    base_mass = areal_mass + density * delta_e
+    rho, eta = (0.0, 0.0) if liquid is None else (liquid.density, liquid.viscosity)
+    v = _phase_velocity(plate, wavelength, loading.tension, rho, eta)
 
     warnings: list[str] = []
     if liquid is not None and not liquid.covers_decay_length:
@@ -165,27 +174,8 @@ def loaded_velocity(
             "liquid level below the evanescent decay length; entrained mass "
             "is overestimated and the density reading is unreliable"
         )
-
-    iterations = 0
-    delta_v = m_eta = 0.0
-    if liquid is None or liquid.viscosity == 0:
-        v = math.sqrt(stiffness / base_mass)
-    else:
-        v = math.sqrt(stiffness / areal_mass)  # liquid-free seed
-        for iterations in range(1, MAX_ITERATIONS + 1):
-            _, m_eta = viscous_mass(liquid, 2.0 * math.pi * v / wavelength)
-            v, v_prev = math.sqrt(stiffness / (base_mass + m_eta)), v
-            if abs(v - v_prev) <= REL_TOL * v:
-                break
-        else:
-            raise ConvergenceError(
-                f"loaded velocity did not converge within {MAX_ITERATIONS} "
-                f"iterations (last iterate {v:.9g} m/s)",
-                last_value=v,
-                iterations=iterations,
-            )
-        # Report the viscous terms at the converged operating frequency.
-        delta_v, m_eta = viscous_mass(liquid, 2.0 * math.pi * v / wavelength)
+    omega = 2.0 * math.pi * v / wavelength
+    delta_v, m_eta = (0.0, 0.0) if liquid is None else viscous_mass(liquid, omega)
 
     ratio = v / WATER_SOUND_SPEED
     if liquid is not None and ratio > 0.3:
@@ -196,10 +186,10 @@ def loaded_velocity(
     return VelocitySolution(
         phase_velocity=v,
         resonant_frequency=v / wavelength,
-        evanescent_length=delta_e,
+        evanescent_length=evanescent_decay_length(wavelength),
         viscous_length=delta_v,
         viscous_mass=m_eta,
-        iterations=iterations,
+        iterations=0,
         converged=True,
         sound_speed_ratio=ratio,
         warnings=tuple(warnings),

@@ -14,6 +14,7 @@ not model outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Iterable
 
@@ -24,6 +25,7 @@ from .fpw_dispersion import (
     LiquidLoad,
     LoadingState,
     VelocitySolution,
+    _phase_velocity,
     evanescent_decay_length,
     loaded_velocity,
 )
@@ -77,7 +79,11 @@ class CalibrationFit:
         return self.slope * density + self.intercept
 
     def frequency_range(self) -> tuple[float, float]:
-        """(min, max) of the fitted frequencies."""
+        """(min, max) of the fitted frequencies, found once per fit."""
+        return self._frequency_range
+
+    @cached_property
+    def _frequency_range(self) -> tuple[float, float]:
         freqs = [f for _, f in self.points]
         return min(freqs), max(freqs)
 
@@ -131,12 +137,11 @@ def predict_frequency(
     liquid: LiquidSample | None = None,
     tension: float = 0.0,
 ) -> float:
-    """Model resonant frequency (Hz) of the plate under the given liquid."""
-    load = None
-    if liquid is not None:
-        load = LiquidLoad(density=liquid.density, viscosity=liquid.viscosity)
-    solution = loaded_velocity(plate, LoadingState(tension, load), wavelength)
-    return solution.resonant_frequency
+    """Model resonant frequency (Hz), the value ``loaded_velocity`` gives."""
+    if tension < 0:
+        raise ValueError("tension must be >= 0 (compressive not modeled)")
+    rho, eta = (0.0, 0.0) if liquid is None else (liquid.density, liquid.viscosity)
+    return _phase_velocity(plate, wavelength, tension, rho, eta) / wavelength
 
 
 def invert_density_calibrated(

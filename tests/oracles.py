@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: the loaded
 velocity and the liquid density are found by bisection on the residual of
-the loading balance (instead of fixed-point iteration and the quadratic
-root), closed forms are written from scratch where one exists, and the
+the loading balance (instead of the quartic and quadratic closed-form
+roots), closed forms are written from scratch where one exists, and the
 resonator S21 is solved one frequency at a time through the literal 2x2
 transfer-matrix chain (instead of the closed form evaluated over the
 frequency axis). The CSV writers format one value at a time with Python's

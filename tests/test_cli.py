@@ -220,6 +220,22 @@ class TestPlateCommand:
         assert result.exit_status == 2
         assert result.errors
 
+    @pytest.mark.parametrize(
+        "geometry, line",
+        [
+            ("wavelength = 40e-6\nspacing_index = -1\n", "line 10"),
+            ("wavelength = -40e-6\n", "line 9"),
+        ],
+    )
+    def test_invalid_spacing_rule_exits_2_naming_line(
+        self, tmp_path, geometry, line
+    ):
+        path = tmp_path / "bad.cfg"
+        path.write_text(MINIMAL_CONFIG.replace("wavelength = 40e-6\n", geometry))
+        result = run(["--config", str(path), "plate"])
+        assert result.exit_status == 2
+        assert line in result.errors[0]
+
     def test_missing_config_file_exits_2(self):
         result = run(["--config", "/nonexistent.cfg", "plate"])
         assert result.exit_status == 2

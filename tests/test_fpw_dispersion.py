@@ -1,11 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fpwsim import (
-    ConvergenceError,
     LiquidLoad,
     LoadingState,
     NoSolutionError,
@@ -17,7 +17,6 @@ from fpwsim import (
     unloaded_velocity,
     viscous_mass,
 )
-from fpwsim import fpw_dispersion
 from fpwsim.fpw_dispersion import mass_sensitivity, tension_sensitivity
 from conftest import PUBLISHED, WAVELENGTH
 from oracles import bisect_density, bisect_loaded_velocity, closed_form_density
@@ -128,18 +127,36 @@ class TestLoadedVelocity:
         solution = loaded_velocity(pinned_plate, load, WAVELENGTH)
         assert any("decay length" in w for w in solution.warnings)
 
-    def test_iteration_cap_raises_with_last_iterate(
-        self, pinned_plate, monkeypatch
+    @settings(
+        max_examples=500,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        density=st.floats(1e-3, 2e4),
+        viscosity=st.one_of(
+            st.floats(0.0, 10.0),
+            st.floats(0.0, sys.float_info.min, exclude_max=True),
+        ),
+        tension=st.floats(0.0, 100.0),
+    )
+    def test_matches_bisection_oracle_over_validated_inputs(
+        self, pinned_plate, density, viscosity, tension
     ):
-        monkeypatch.setattr(fpw_dispersion, "MAX_ITERATIONS", 1)
-        with pytest.raises(ConvergenceError) as err:
-            loaded_velocity(
-                pinned_plate,
-                LoadingState(0.0, LiquidLoad(1000.0, 0.001)),
-                WAVELENGTH,
-            )
-        assert err.value.last_value > 0
-        assert err.value.iterations == 1
+        solution = loaded_velocity(
+            pinned_plate,
+            LoadingState(tension, LiquidLoad(density, viscosity)),
+            WAVELENGTH,
+        )
+        oracle = bisect_loaded_velocity(
+            pinned_plate.bending_term(WAVELENGTH),
+            pinned_plate.mass_per_area,
+            tension,
+            density,
+            viscosity,
+            WAVELENGTH,
+        )
+        assert solution.phase_velocity == pytest.approx(oracle, rel=1e-13)
 
     def test_inviscid_liquid_is_closed_form(self, pinned_plate):
         tension, density = 10.0, 1000.0

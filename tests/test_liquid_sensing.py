@@ -3,12 +3,15 @@ import pytest
 
 from fpwsim import (
     DegenerateFitError,
+    LiquidLoad,
     LiquidSample,
+    LoadingState,
     PRESET_LIQUIDS,
     fit_density_sensitivity,
     invert_density_calibrated,
     load_liquid_library,
     load_reference_datasets,
+    loaded_velocity,
     predict_frequency,
     tension_effect,
     viscosity_coupling_report,
@@ -82,6 +85,29 @@ class TestPredictFrequency:
         )
         assert value == pytest.approx(oracle_v / WAVELENGTH, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "liquid, tension",
+        [
+            (None, 0.0),
+            (None, 25.0),
+            (LiquidSample("inviscid", 1000.0, 0.0), 10.0),
+            (PRESET_LIQUIDS["water"], 0.0),
+            (PRESET_LIQUIDS["glycerol"], 50.0),
+            (LiquidSample("thin", 1e-3, 10.0), 100.0),
+        ],
+    )
+    def test_equals_loaded_velocity_exactly(self, pinned_plate, liquid, tension):
+        load = None if liquid is None else LiquidLoad(liquid.density, liquid.viscosity)
+        solution = loaded_velocity(
+            pinned_plate, LoadingState(tension, load), WAVELENGTH
+        )
+        value = predict_frequency(pinned_plate, WAVELENGTH, liquid, tension)
+        assert value == solution.resonant_frequency
+
+    def test_negative_tension_rejected(self, pinned_plate):
+        with pytest.raises(ValueError):
+            predict_frequency(pinned_plate, WAVELENGTH, tension=-1.0)
+
     def test_density_ordering(self, pinned_plate):
         f_water = predict_frequency(
             pinned_plate, WAVELENGTH, PRESET_LIQUIDS["water"]
@@ -114,6 +140,16 @@ class TestInvertDensityCalibrated:
         value, extrapolated = invert_density_calibrated(4.75e6, fit)
         assert value / 1000.0 == pytest.approx(1.0, abs=0.01)
         assert not extrapolated
+
+    def test_range_kept_once_without_changing_equality(self):
+        fit = fit_density_sensitivity(CALIBRATION_POINTS)
+        fresh = fit_density_sensitivity(CALIBRATION_POINTS)
+        text = repr(fit)
+        assert fit.frequency_range() == (4.59e6, 4.94e6)
+        assert fit.frequency_range() is fit.frequency_range()
+        assert fit == fresh
+        assert hash(fit) == hash(fresh)
+        assert repr(fit) == text
 
     def test_out_of_range_flagged(self):
         fit = fit_density_sensitivity(CALIBRATION_POINTS)
