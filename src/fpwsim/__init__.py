@@ -23,7 +23,6 @@ from .fpw_dispersion import (
     resonant_frequency,
     sensitivities,
     unloaded_velocity,
-    viscous_mass,
 )
 from .com_resonator import (
     ComParameters,

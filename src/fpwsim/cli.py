@@ -11,6 +11,7 @@ byte-identical CSV files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -48,6 +49,7 @@ from .liquid_sensing import (
     fit_density_sensitivity,
     invert_density_calibrated,
     load_liquid_library,
+    predict_frequency,
 )
 
 _NUM = "%.9e"
@@ -111,10 +113,11 @@ def _pick_liquid(args) -> LiquidSample | None:
 
 
 def _loading(args, liquid: LiquidSample | None) -> LoadingState:
-    load = None
-    if liquid is not None:
-        load = LiquidLoad(density=liquid.density, viscosity=liquid.viscosity)
-    return LoadingState(tension=args.tension, liquid=load)
+    load = None if liquid is None else LiquidLoad(liquid.density, liquid.viscosity)
+    try:
+        return LoadingState(tension=args.tension, liquid=load)
+    except ValueError as exc:
+        raise UsageError(f"--tension {args.tension}: {exc}") from None
 
 
 def _value_line(label: str, value: float, config_overrides, key=None) -> str:
@@ -175,17 +178,14 @@ def _cmd_dispersion(args) -> RunResult:
     outputs: list[str] = []
     if args.sweep_out is not None:
         lo, hi, count = _parse_sweep_range(args.sweep_densities)
-        viscosity = liquid.viscosity if liquid is not None else 0.0
-        rows = []
-        for density in np.linspace(lo, hi, count):
-            sol = loaded_velocity(
-                plate,
-                LoadingState(args.tension, LiquidLoad(float(density), viscosity)),
-                wavelength,
-            )
-            rows.append((float(density), sol.resonant_frequency))
+        eta = liquid.viscosity if liquid is not None else 0.0
+        densities = np.linspace(lo, hi, count)
+        samples = (LiquidSample("sweep", rho, eta) for rho in densities.tolist())
+        frequencies = [
+            predict_frequency(plate, wavelength, s, args.tension) for s in samples
+        ]
         write_csv(
-            args.sweep_out, "density_kg_m3,frequency_hz", np.transpose(rows)
+            args.sweep_out, "density_kg_m3,frequency_hz", (densities, frequencies)
         )
         outputs.append(args.sweep_out)
         lines.append(f"sweep_csv: {args.sweep_out} ({count} rows)")
@@ -275,6 +275,8 @@ def _cmd_fit(args) -> RunResult:
 
 
 def _cmd_invert(args) -> RunResult:
+    if not math.isfinite(args.freq):
+        raise UsageError(f"--freq must be a finite number, got {args.freq}")
     points = _read_points(args)
     fit = fit_density_sensitivity(points)
     density, extrapolated = invert_density_calibrated(args.freq, fit)
@@ -371,16 +373,14 @@ def run(argv=None) -> RunResult:
     command = args.command
     try:
         return args.func(args)
-    except (ConfigError, UsageError, DegenerateFitError) as exc:
+    except (ConfigError, UsageError, DegenerateFitError, OSError) as exc:
+        # An OSError's text names the path and the operating system's reason.
         return RunResult(command=command, errors=(str(exc),), exit_status=2)
-    except FileNotFoundError as exc:
-        return RunResult(
-            command=command,
-            errors=(f"cannot read {exc.filename!r}",),
-            exit_status=2,
-        )
     except (NoResonanceError, NoSolutionError) as exc:
         return RunResult(command=command, errors=(str(exc),), exit_status=1)
+    except ArithmeticError as exc:  # e.g. a float power out of range
+        error = f"{type(exc).__name__}: {exc}"
+        return RunResult(command=command, errors=(error,), exit_status=1)
 
 
 def main(argv=None) -> int:

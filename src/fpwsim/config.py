@@ -9,8 +9,9 @@ surface immediately. All values are SI.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Iterator, get_type_hints
+from typing import Callable, Iterator, get_type_hints
 
 from .com_resonator import ComParameters, DeviceGeometry, design_spacing
 from .plate_materials import OVERRIDABLE_PARAMETERS, CompositePlate, MaterialLayer
@@ -26,22 +27,30 @@ class ConfigError(ValueError):
         self.lineno = lineno
 
 
-def _value_types(cls) -> dict[str, type]:
-    """Field name -> config value type (int, str or float) of a dataclass."""
-    hints = get_type_hints(cls)
-    return {f.name: {int: int, str: str}.get(hints[f.name], float) for f in fields(cls)}
+def finite_float(text: str) -> float:
+    """``float(text)``, refusing nan and infinities with a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
 
 
-# Section -> key -> value type. The dataclasses are the schema; the only
+def _value_types(cls) -> dict[str, Callable[[str], object]]:
+    """Field name -> value parser (int, str or finite_float) of a dataclass."""
+    hints, kinds = get_type_hints(cls), {int: int, str: str}
+    return {f.name: kinds.get(hints[f.name], finite_float) for f in fields(cls)}
+
+
+# Section -> key -> value parser. The dataclasses are the schema; the only
 # extras are the geometry's spacing_index and the com velocity's name.
-_SCHEMA: dict[str, dict[str, type]] = {
+_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
     "layer": _value_types(MaterialLayer),
     "geometry": {**_value_types(DeviceGeometry), "spacing_index": int},
     "com": {
         "velocity" if key == "free_velocity" else key: kind
         for key, kind in _value_types(ComParameters).items()
     },
-    "override": dict.fromkeys(OVERRIDABLE_PARAMETERS, float),
+    "override": dict.fromkeys(OVERRIDABLE_PARAMETERS, finite_float),
 }
 _LAYER_REQUIRED = {f.name for f in fields(MaterialLayer) if f.default is MISSING}
 
@@ -177,8 +186,8 @@ def parse_density(token: str) -> float:
     text = token.strip()
     for suffix, factor in (("g/cm3", 1000.0), ("kg/m3", 1.0)):
         if text.lower().endswith(suffix):
-            return float(text[: -len(suffix)]) * factor
-    return float(text)
+            return finite_float(text[: -len(suffix)]) * factor
+    return finite_float(text)
 
 
 def parse_calibration_points(text: str) -> list[tuple[float, float]]:
@@ -196,7 +205,7 @@ def parse_calibration_points(text: str) -> list[tuple[float, float]]:
                 f"got {raw!r}"
             )
         try:
-            points.append((parse_density(tokens[0]), float(tokens[1])))
+            points.append((parse_density(tokens[0]), finite_float(tokens[1])))
         except ValueError as exc:
             raise ValueError(f"points file line {lineno}: {exc}") from None
     return points

@@ -71,8 +71,8 @@ class LoadingState:
     liquid: LiquidLoad | None = None
 
     def __post_init__(self):
-        if self.tension < 0:
-            raise ValueError("tension must be >= 0 (compressive not modeled)")
+        if not 0 <= self.tension < math.inf:
+            raise ValueError("tension must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -110,20 +110,6 @@ def evanescent_decay_length(wavelength: float) -> float:
     return wavelength / (2.0 * math.pi)
 
 
-def viscous_mass(liquid: LiquidLoad, omega: float) -> tuple[float, float]:
-    """Viscous decay length and viscosity-induced areal mass.
-
-    Returns (delta_v, M_eta) with delta_v = sqrt(2 eta / (omega rho_F)) in m
-    and M_eta = rho_F * delta_v / 2 in kg/m^2. Zero viscosity gives (0, 0).
-    """
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
-    if liquid.viscosity == 0 or liquid.density == 0:
-        return 0.0, 0.0
-    delta_v = math.sqrt(2.0 * liquid.viscosity / (omega * liquid.density))
-    return delta_v, liquid.density * delta_v / 2.0
-
-
 def resonant_frequency(phase_velocity: float, wavelength: float) -> float:
     """Operating frequency v_p / wavelength (Hz)."""
     if phase_velocity <= 0 or wavelength <= 0:
@@ -133,26 +119,29 @@ def resonant_frequency(phase_velocity: float, wavelength: float) -> float:
 
 def _phase_velocity(
     plate: CompositePlate, wavelength: float, tension: float, rho: float, eta: float
-) -> float:
-    """Loaded phase velocity (m/s), the one root of the loading balance.
+) -> tuple[float, float]:
+    """Loaded operating point: (phase velocity in m/s, viscous mass in kg/m^2).
 
-    With v0 the inviscid velocity and eps = M_eta(v0) / (M + rho delta_E),
-    x = sqrt(v0 / v) solves x^4 - eps x - 1 = 0. y = 2h / d is the root
-    a - 1/(3a) of Ferrari's resolvent cubic y^3 + y = eps^2 / 8, free of
-    cancellation at small eps."""
+    With v0 the inviscid velocity, m0 = M_eta(v0) and eps = m0 / (M + rho
+    delta_E), x = sqrt(v0 / v) solves x^4 - eps x - 1 = 0. y = 2h / d is the
+    root a - 1/(3a) of Ferrari's resolvent cubic y^3 + y = eps^2 / 8, free
+    of cancellation at small eps. M_eta scales as v^(-1/2), so the viscous
+    mass at the root is m0 x; it is 0 for an inviscid liquid."""
     stiffness = tension + plate.bending_term(wavelength)
     base_mass = plate.mass_per_area + rho * evanescent_decay_length(wavelength)
     v0 = math.sqrt(stiffness / base_mass)
     if eta == 0:
-        return v0
-    eps = math.sqrt(rho * eta * wavelength / (4.0 * math.pi * v0)) / base_mass
+        return v0, 0.0
+    s = 2.0**100 if eta < 1e-200 else 1.0  # exact; keeps a tiny radicand normal
+    m0 = math.sqrt(rho * (eta * s * s) * wavelength / (4.0 * math.pi * v0)) / s
+    eps = m0 / base_mass
     h = eps * eps / 16.0
     a = (h + math.sqrt(h * h + 1.0 / 27.0)) ** (1.0 / 3.0)
     b = 1.0 / (3.0 * a)
     d = a * a + 1.0 / 3.0 + b * b
     m = 2.0 * h / d
     x = (math.sqrt(2.0 * m) + math.sqrt(4.0 * math.sqrt(d) - 2.0 * m)) / 2.0
-    return v0 / (x * x)
+    return v0 / (x * x), m0 * x
 
 
 def loaded_velocity(
@@ -162,11 +151,12 @@ def loaded_velocity(
 
     Closed form: sqrt((T + B) / (M + rho_F delta_E)) with no liquid or an
     inviscid one, else the positive root of the quartic in v^(-1/2) from
-    Ferrari's resolvent cubic, with the viscous terms at that frequency.
+    Ferrari's resolvent cubic. The viscous mass is the one at that root, and
+    delta_v = 2 M_eta / rho_F.
     """
     liquid = loading.liquid
     rho, eta = (0.0, 0.0) if liquid is None else (liquid.density, liquid.viscosity)
-    v = _phase_velocity(plate, wavelength, loading.tension, rho, eta)
+    v, m_eta = _phase_velocity(plate, wavelength, loading.tension, rho, eta)
 
     warnings: list[str] = []
     if liquid is not None and not liquid.covers_decay_length:
@@ -174,9 +164,6 @@ def loaded_velocity(
             "liquid level below the evanescent decay length; entrained mass "
             "is overestimated and the density reading is unreliable"
         )
-    omega = 2.0 * math.pi * v / wavelength
-    delta_v, m_eta = (0.0, 0.0) if liquid is None else viscous_mass(liquid, omega)
-
     ratio = v / WATER_SOUND_SPEED
     if liquid is not None and ratio > 0.3:
         warnings.append(
@@ -187,7 +174,7 @@ def loaded_velocity(
         phase_velocity=v,
         resonant_frequency=v / wavelength,
         evanescent_length=evanescent_decay_length(wavelength),
-        viscous_length=delta_v,
+        viscous_length=2.0 * m_eta / rho if eta else 0.0,
         viscous_mass=m_eta,
         iterations=0,
         converged=True,

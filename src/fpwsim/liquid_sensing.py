@@ -13,6 +13,7 @@ not model outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -20,13 +21,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import content_lines
+from .config import content_lines, finite_float
 from .fpw_dispersion import (
     LiquidLoad,
     LoadingState,
     VelocitySolution,
     _phase_velocity,
-    evanescent_decay_length,
     loaded_velocity,
 )
 from .plate_materials import CompositePlate
@@ -115,18 +115,20 @@ def fit_density_sensitivity(
         raise DegenerateFitError("need at least two calibration points")
     densities = np.array([d for d, _ in pts])
     freqs = np.array([f for _, f in pts])
-    if np.ptp(densities) == 0.0:
-        raise DegenerateFitError("calibration densities are all identical")
-
-    dmean = densities.mean()
-    fmean = freqs.mean()
-    slope = float(np.sum((densities - dmean) * (freqs - fmean))
-                  / np.sum((densities - dmean) ** 2))
-    intercept = float(fmean - slope * dmean)
-    residuals = freqs - (slope * densities + intercept)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((freqs - fmean) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    with np.errstate(all="ignore"):  # an overflow is refused just below
+        if np.ptp(densities) == 0.0:
+            raise DegenerateFitError("calibration densities are all identical")
+        dmean = densities.mean()
+        fmean = freqs.mean()
+        slope = float(np.sum((densities - dmean) * (freqs - fmean))
+                      / np.sum((densities - dmean) ** 2))
+        intercept = float(fmean - slope * dmean)
+        residuals = freqs - (slope * densities + intercept)
+        ss_res = float(np.sum(residuals**2))
+        ss_tot = float(np.sum((freqs - fmean) ** 2))
+        r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    if not np.isfinite([slope, intercept, r_squared]).all():
+        raise DegenerateFitError("calibration points overflow the fit")
     return CalibrationFit(slope=slope, intercept=intercept,
                           r_squared=r_squared, points=pts)
 
@@ -138,10 +140,10 @@ def predict_frequency(
     tension: float = 0.0,
 ) -> float:
     """Model resonant frequency (Hz), the value ``loaded_velocity`` gives."""
-    if tension < 0:
-        raise ValueError("tension must be >= 0 (compressive not modeled)")
+    if not 0 <= tension < math.inf:
+        raise ValueError("tension must be finite and >= 0")
     rho, eta = (0.0, 0.0) if liquid is None else (liquid.density, liquid.viscosity)
-    return _phase_velocity(plate, wavelength, tension, rho, eta) / wavelength
+    return _phase_velocity(plate, wavelength, tension, rho, eta)[0] / wavelength
 
 
 def invert_density_calibrated(
@@ -176,7 +178,7 @@ def viscosity_coupling_report(
         raise ValueError("threshold must lie in (0, 1)")
     load = LoadingState(0.0, LiquidLoad(liquid.density, liquid.viscosity))
     solution = loaded_velocity(plate, load, wavelength)
-    entrained = liquid.density * evanescent_decay_length(wavelength)
+    entrained = liquid.density * solution.evanescent_length
     viscous = solution.viscous_mass
     ratio = viscous / (viscous + entrained)
     valid = ratio <= threshold
@@ -284,8 +286,8 @@ def load_liquid_library(text: str) -> dict[str, LiquidSample]:
             )
         name = fields[0].lower()
         try:
-            density = float(fields[1])
-            viscosity = float(fields[2])
+            density = finite_float(fields[1])
+            viscosity = finite_float(fields[2])
         except ValueError as exc:
             raise ValueError(f"liquid library line {lineno}: {exc}") from None
         liquids[name] = LiquidSample(name, density, viscosity)

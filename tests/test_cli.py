@@ -1,7 +1,11 @@
+import errno
+import os
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fpwsim import (
     ComParameters,
@@ -188,7 +192,9 @@ class TestDensityParsing:
         with pytest.raises(ValueError, match="line 1"):
             parse_calibration_points("only_one_field\n")
 
-    @pytest.mark.parametrize("bad_line", ["only_one_field", "dense 4.75e6"])
+    @pytest.mark.parametrize(
+        "bad_line", ["only_one_field", "dense 4.75e6", "1.0g/cm3 nan", "inf 4.75e6"]
+    )
     def test_bad_line_after_comments_names_its_line(self, bad_line):
         text = f"# density frequency\n\n   \n  # note\n1.0g/cm3 4.75e6\n{bad_line}\n"
         with pytest.raises(ValueError, match="^points file line 6: "):
@@ -235,6 +241,13 @@ class TestPlateCommand:
         result = run(["--config", str(path), "plate"])
         assert result.exit_status == 2
         assert line in result.errors[0]
+
+    def test_overflowing_layer_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "thick.cfg"
+        path.write_text(MINIMAL_CONFIG.replace("1e-6", "1e200"))
+        status = main(["--config", str(path), "plate"])
+        assert status == 1
+        assert "OverflowError" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self):
         result = run(["--config", "/nonexistent.cfg", "plate"])
@@ -461,9 +474,18 @@ class TestMainEntryPoint:
              "--out", "{out}"],
             "f_start < f_stop",
         ),
+        (["dispersion", "--tension", "-1"], "--tension"),
+        (["s21", "--tension", "-1", "--out", "{out}"], "--tension"),
+        (["dispersion", "--tension", "nan"], "finite"),
+        (["dispersion", "--liquid", "water", "--tension", "inf"], "finite"),
+        (["s21", "--tension", "inf", "--out", "{out}"], "finite"),
+        (["invert", "--freq", "nan", "--points", "{bad}"], "--freq"),
+        (["invert", "--freq", "inf", "--points", "{bad}"], "--freq"),
     ],
     ids=["fit-bad-points", "invert-bad-points", "bad-liquids", "one-point",
-         "reversed-window"],
+         "reversed-window", "dispersion-negative-tension",
+         "s21-negative-tension", "nan-tension", "inf-tension",
+         "s21-inf-tension", "nan-freq", "inf-freq"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
     # Two fields: a bad density for a points file, one short for a library.
@@ -476,3 +498,150 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
     assert status == 2
     assert captured.err.startswith("error: ")
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["--config", "{path}", "plate"],
+         MINIMAL_CONFIG.replace("40e-6", "nan"), "line 9"),
+        (["--config", "{path}", "dispersion"],
+         MINIMAL_CONFIG.replace("3000", "inf"), "line 6"),
+        (["--config", "{path}", "plate"],
+         MINIMAL_CONFIG + "[override]\nmass_per_area = -inf\n", "line 11"),
+        (["--liquids", "{path}", "dispersion", "--liquid", "water"],
+         "water nan 0.001\n", "line 1"),
+        (["fit", "--points", "{path}"], "1000 4.75e6\n1000 nan\n", "line 2"),
+        (["invert", "--freq", "4.75e6", "--points", "{path}"],
+         "0.8g/cm3 4.9e6\ninf 4.75e6\n", "line 2"),
+    ],
+    ids=["config-nan", "config-inf", "override-inf", "liquids-nan",
+         "points-nan", "points-inf"],
+)
+def test_non_finite_text_input_exits_2(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    status = main([a.format(path=path) for a in argv])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--config", "{dir}", "plate"], errno.EISDIR),
+        (["--liquids", "{dir}", "dispersion", "--liquid", "water"],
+         errno.EISDIR),
+        (["fit", "--points", "{dir}"], errno.EISDIR),
+        (["dispersion", "--sweep-out", "{dir}/missing/d.csv"], errno.ENOENT),
+        (["s21", "--bulk", "--out", "{dir}/missing/s21.csv"], errno.ENOENT),
+    ],
+    ids=["config-dir", "liquids-dir", "points-dir", "sweep-out-missing-dir",
+         "s21-out-missing-dir"],
+)
+def test_os_errors_exit_2_naming_path_and_reason(tmp_path, capsys, argv, code):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    path = next(a for a in argv if a.startswith(str(tmp_path)))
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err.startswith("error: ")
+    assert path in captured.err
+    assert os.strerror(code) in captured.err
+
+
+# Lines the robustness test splices into the bundled inputs: valid and
+# broken section headers, keys and numbers, and short free text.
+_SPLICED_LINES = st.one_of(
+    st.sampled_from([
+        "", "# note", "[layer]", "[geometry]", "[com]", "[override]", "[bogus]",
+        "thickness = 1e-6", "thickness = 0", "thickness = 1e200",
+        "young_modulus = -1", "poisson_ratio = 0.5", "density = 1e-300",
+        "wavelength = nan", "wavelength = 1e300", "spacing_index = -3",
+        "idt_pairs = 0", "grating_strips = 10000", "velocity = 0",
+        "attenuation = 1e308", "strip_reflectivity = 0.9",
+        "mass_per_area = 1e-300", "flexural_rigidity = 0", "name = x",
+        "water 1e308 1e308", "water 1000", "oil 1e-300 0", "x 1 -1",
+        "1000 nan", "1e308g/cm3 4.75e6", "1000 4.75e6", "1000 4.75e6 1",
+        "0 0", "-5 1e9", "=", "key = ", "inf inf",
+    ]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=24),
+)
+
+
+@st.composite
+def _mutated(draw, text):
+    """``text`` with a few lines inserted, deleted or replaced."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            lines.insert(draw(st.integers(0, len(lines))), draw(_SPLICED_LINES))
+        elif lines:
+            index = draw(st.integers(0, len(lines) - 1))
+            if edit == "delete":
+                del lines[index]
+            else:
+                lines[index] = draw(_SPLICED_LINES)
+    return "\n".join(lines) + "\n"
+
+
+_NUMBERS = st.sampled_from(
+    ["0", "1", "-1", "10", "4.75e6", "5e6", "1e300", "nan", "inf", "x"]
+)
+
+_ARGV_MENU = [
+    ["plate"],
+    ["dispersion", "--liquid", "{liquid}", "--tension", "{number}"],
+    ["dispersion", "--liquid", "{liquid}", "--sweep-out", "{out}",
+     "--sweep-densities", "{number}:2000:{points}"],
+    ["s21", "--bulk", "--out", "{out}", "--points", "{points}"],
+    ["s21", "--fpw", "--liquid", "{liquid}", "--viscous-loss",
+     "--tension", "{number}", "--out", "{out}", "--points", "{points}"],
+    ["s21", "--bulk", "--out", "{out}", "--points", "{points}",
+     "--f-start", "{number}", "--f-stop", "6e7"],
+    ["fit", "--points", "{calibration}"],
+    ["invert", "--freq", "{number}", "--points", "{calibration}"],
+]
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    config=_mutated(_bundled("reference_device.cfg")),
+    liquids=_mutated(_bundled("liquids.txt")),
+    calibration=_mutated(CALIBRATION_FILE),
+    argv=st.sampled_from(_ARGV_MENU),
+    liquid=st.sampled_from(["water", "glycerol", "oil"]),
+    number=_NUMBERS,
+    points=st.integers(-1, 2001),
+)
+def test_mutated_inputs_exit_0_1_or_2_without_silent_nan(
+    tmp_path, capsys, config, liquids, calibration, argv, liquid, number, points
+):
+    paths = {}
+    for name, text in (("config", config), ("liquids", liquids),
+                       ("calibration", calibration)):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    argv = [
+        "--config", str(paths["config"]), "--liquids", str(paths["liquids"]),
+        *(a.format(liquid=liquid, number=number, points=points,
+                   out=tmp_path / "out.csv", calibration=paths["calibration"])
+          for a in argv),
+    ]
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed option value
+        status = exc.code
+        assert status == 2
+    out = capsys.readouterr().out
+    assert status in (0, 1, 2)
+    if status == 0:
+        assert not re.search(r":\s*[-+]?(nan|inf)\b", out), out

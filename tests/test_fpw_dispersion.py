@@ -15,7 +15,6 @@ from fpwsim import (
     resonant_frequency,
     sensitivities,
     unloaded_velocity,
-    viscous_mass,
 )
 from fpwsim.fpw_dispersion import mass_sensitivity, tension_sensitivity
 from conftest import PUBLISHED, WAVELENGTH
@@ -59,24 +58,72 @@ class TestEvanescentDecayLength:
             evanescent_decay_length(0.0)
 
 
+def _checked_operating_point(plate, density, viscosity, tension=0.0):
+    """Loaded solution whose viscous terms and balance are checked at rel
+    1e-13, with no absolute floor (the lengths and masses are far below
+    approx's default 1e-12)."""
+    solution = loaded_velocity(
+        plate, LoadingState(tension, LiquidLoad(density, viscosity)), WAVELENGTH
+    )
+    omega = 2 * math.pi * solution.resonant_frequency
+    # sqrt(2 eta / (omega rho)), with sqrt(eta) apart so that a subnormal
+    # viscosity keeps its digits.
+    expected_length = math.sqrt(2.0 / (omega * density)) * math.sqrt(viscosity)
+    assert solution.viscous_length == pytest.approx(
+        expected_length, rel=1e-13, abs=0.0
+    )
+    assert solution.viscous_mass == pytest.approx(
+        density * solution.viscous_length / 2, rel=1e-13, abs=0.0
+    )
+    loaded_mass = (
+        plate.mass_per_area
+        + density * solution.evanescent_length
+        + solution.viscous_mass
+    )
+    assert solution.phase_velocity**2 * loaded_mass == pytest.approx(
+        tension + plate.bending_term(WAVELENGTH), rel=1e-13, abs=0.0
+    )
+    return solution
+
+
 class TestViscousMass:
-    def test_water_at_design_frequency(self):
-        # Frozen from direct evaluation of sqrt(2 eta / (omega rho)).
-        delta_v, m_eta = viscous_mass(LiquidLoad(1000.0, 0.001), 3.692e7)
-        assert delta_v == pytest.approx(2.32747032058e-07, rel=1e-9)
-        assert m_eta == pytest.approx(1.16373516029e-04, rel=1e-9)
+    """The viscous decay length and mass at the loaded operating point."""
 
-    def test_glycerol(self):
-        delta_v, m_eta = viscous_mass(LiquidLoad(1200.0, 0.934), 2.821e7)
-        assert delta_v == pytest.approx(7.4284169082e-06, rel=1e-9)
-        assert m_eta == pytest.approx(4.45705014492e-03, rel=1e-9)
+    def test_water_at_design_frequency(self, pinned_plate):
+        solution = _checked_operating_point(pinned_plate, 1000.0, 0.001)
+        # Frozen from the separate sqrt(2 eta / (omega rho)) evaluation that
+        # this operating point replaced.
+        assert solution.viscous_length == pytest.approx(2.35908727155e-07, rel=1e-9)
+        assert solution.viscous_mass == pytest.approx(1.17954363578e-04, rel=1e-9)
 
-    def test_inviscid_is_zero(self):
-        assert viscous_mass(LiquidLoad(1000.0, 0.0), 1e7) == (0.0, 0.0)
+    def test_glycerol(self, pinned_plate):
+        solution = _checked_operating_point(pinned_plate, 1200.0, 0.934)
+        assert solution.viscous_length == pytest.approx(6.64871101221e-06, rel=1e-9)
+        assert solution.viscous_mass == pytest.approx(3.98922660733e-03, rel=1e-9)
 
-    def test_invalid_omega_rejected(self):
-        with pytest.raises(ValueError):
-            viscous_mass(LiquidLoad(1000.0, 0.001), 0.0)
+    def test_inviscid_is_zero(self, pinned_plate):
+        solution = loaded_velocity(
+            pinned_plate, LoadingState(0.0, LiquidLoad(1000.0, 0.0)), WAVELENGTH
+        )
+        assert (solution.viscous_length, solution.viscous_mass) == (0.0, 0.0)
+
+    @settings(
+        max_examples=500,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        density=st.floats(1e-3, 2e4),
+        viscosity=st.one_of(
+            st.floats(0.0, 10.0),
+            st.floats(0.0, sys.float_info.min, exclude_max=True),
+        ),
+        tension=st.floats(0.0, 100.0),
+    )
+    def test_operating_point_over_validated_inputs(
+        self, pinned_plate, density, viscosity, tension
+    ):
+        _checked_operating_point(pinned_plate, density, viscosity, tension)
 
 
 class TestLoadedVelocity:
@@ -379,3 +426,8 @@ class TestLoadTypes:
     def test_compressive_tension_rejected(self):
         with pytest.raises(ValueError):
             LoadingState(tension=-1.0)
+
+    @pytest.mark.parametrize("tension", [math.nan, math.inf])
+    def test_non_finite_tension_rejected(self, tension):
+        with pytest.raises(ValueError, match="finite"):
+            LoadingState(tension=tension)
