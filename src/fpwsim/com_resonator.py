@@ -28,12 +28,12 @@ result, as when extreme attenuation overflows) becomes a NaN gap.
 
 CSV export has a byte contract: every field is exactly ``"%.9e" % value``,
 so identical inputs give identical files. ``write_csv`` hands
-SWEEP_BLOCK_POINTS rows at a time to ``format_csv_rows``, which renders
-fixed-width byte fields with array arithmetic: ten significant digits from
-the scaled mantissa |x| 10^(9 - e) rounded to an integer. Values it cannot
-round exactly fall back to ``"%.9e" % value``: non-finite, zero, subnormal
-or outside [1e-280, 1e280] in magnitude, or with a mantissa whose fraction
-lies within 1e-4 of 1/2 or that is at least 1e10 - 1.
+SWEEP_BLOCK_POINTS rows at a time to ``format_csv_rows``, which writes each
+field as three little-endian words looked up in digit and exponent tables
+built at import, from the scaled mantissa |x| 10^(9 - e) rounded to an
+integer. Values it cannot round exactly fall back to ``"%.9e" % value``:
+non-finite, zero, subnormal or outside [1e-280, 1e280] in magnitude, or
+with a mantissa whose fraction lies within 1e-4 of 1/2 or is >= 1e10 - 1.
 
 Conventions: time factor exp(+i omega t), forward propagation phase
 exp(-i beta x). A grating strip sits every half wavelength, so a grating
@@ -491,21 +491,46 @@ def find_resonance(response: FrequencyResponse) -> ResonanceSummary:
     )
 
 
+# Tables of format_csv_rows: words of ASCII bytes, little-endian.
+_DIGITS = np.arange(48, 58)  # "0" to "9"
+_QUAD = (  # "%04d" % n
+    _DIGITS[:, None, None, None] | _DIGITS[:, None, None] << 8
+    | _DIGITS[:, None] << 16 | _DIGITS << 24
+).ravel()
+# "d.d" of n at bytes 1-3; n = 100 comes only from fallback values.
+_LEAD = np.append((_DIGITS[:, None] << 8 | 46 << 16 | _DIGITS << 24).ravel(), 0)
+_e = np.arange(-300, 301)  # the tables below are indexed by e + 300
+# Correctly rounded 10^e (10.0**e is not, for some e): 5^|e| rounded once by
+# int true division or int-to-float conversion, then scaled exactly by 2^e.
+_fives = np.cumprod([1] + [5] * 300, dtype=object)  # exact integers 5^0 .. 5^300
+_POW10 = np.ldexp(np.concatenate([1 / _fives[:0:-1], _fives]).astype(float), _e)
+_m = np.abs(_e)
+_EXP_HI = (  # "e", sign, hundreds digit or NUL and tens digit at bytes 12-15
+    101 | np.where(_e < 0, 45, 43) << 8 | np.where(_m >= 100, 48 + _m // 100, 0) << 16
+    | (48 + _m // 10 % 10) << 24
+) << 32
+_EXP_LO = (48 + _m % 10 | 44 << 8).astype(np.uint16)  # units digit, ","
+_FIELD = np.dtype([("a", "<i8"), ("b", "<i8"), ("c", "<u2")])
+del _e, _m, _fives
+
+
 def format_csv_rows(values) -> bytes:
     """CSV bytes of a 2-D float array: one line per row, fields joined by
     commas, each field exactly the bytes of ``"%.9e" % value``.
 
-    Each value is rendered into a fixed 17-byte field (the widest output,
-    ``-1.234567890e-308``) followed by its separator byte: optional sign,
-    first digit, ``.``, nine digits, ``e``, exponent sign, optional
-    hundreds digit, two exponent digits; unused bytes stay 0 and are
-    dropped at the end. The ten significant digits come from the mantissa
-    m = |x| 10^(9 - e), with e = floor(log10 |x|) corrected so that m lies
-    in [1e9, 1e10), rounded to the nearest integer. Its error is below
-    3e-6, so rounding m is exact unless m sits near a half-way point.
-    Values that are non-finite, zero, subnormal or outside [1e-280, 1e280]
-    in magnitude, or whose m has a fractional part within 1e-4 of 1/2 or is
-    at least 1e10 - 1, are formatted by ``"%.9e" % value`` itself.
+    Each value fills an 18-byte field, three little-endian words of a
+    structured array looked up in tables built at import: bytes 0-7 hold
+    the optional sign, the first digit, ``.`` and five digits, bytes 8-15
+    four digits, ``e``, the exponent sign, its optional hundreds digit and
+    its tens digit, bytes 16-17 its units digit and the separator. Unused
+    bytes stay 0 and are dropped at the end. The ten significant digits
+    come from the mantissa m = |x| 10^(9 - e), with e = floor(log10 |x|)
+    corrected so that m lies in [1e9, 1e10), rounded to the nearest
+    integer. Its error is below 3e-6, so rounding m is exact unless m sits
+    near a half-way point. Values that are non-finite, zero, subnormal or
+    outside [1e-280, 1e280] in magnitude, or whose m has a fractional part
+    within 1e-4 of 1/2 or is at least 1e10 - 1, are formatted by
+    ``"%.9e" % value`` itself.
     """
     values = np.asarray(values, dtype=float)
     rows, columns = values.shape
@@ -513,41 +538,38 @@ def format_csv_rows(values) -> bytes:
     size = np.abs(flat)
     fast = (size >= 1e-280) & (size <= 1e280)
     size = np.where(fast, size, 1.0)
-    exponent = np.floor(np.log10(size)).astype(np.int64)
-    # Correctly rounded powers 10^(9 - e) for e in [low, high]; 10.0**k
-    # misses the nearest double for some k (23 and 210 with glibc).
-    low, high = int(exponent.min()) - 1, int(exponent.max()) + 1
-    scale = np.array([float("1e%d" % k) for k in range(9 - high, 10 - low)])
-    mantissa = size * scale[high - exponent]
+    exponent = np.floor(np.log10(size)).astype(np.intp)
+    mantissa = size * _POW10[309 - exponent]  # 10^(9 - e)
     # log10 may round across a power of ten; the mantissa's decade decides.
     exponent += mantissa >= 1e10
     exponent -= mantissa < 1e9
-    mantissa = size * scale[high - exponent]
+    mantissa = size * _POW10[309 - exponent]
     fraction = mantissa - np.floor(mantissa)
     fast &= (np.abs(fraction - 0.5) >= 1e-4) & (mantissa < 1e10 - 1)
 
-    grid = np.zeros((flat.size, 18), dtype=np.uint8)
-    grid[:, 0] = np.where(flat < 0, ord("-"), 0)
-    whole = np.rint(mantissa).astype(np.int64)
-    for column in (11, 10, 9, 8, 7, 6, 5, 4, 3, 1):
-        rest = whole // 10
-        grid[:, column] = whole - 10 * rest + ord("0")
-        whole = rest
-    grid[:, 2] = ord(".")
-    grid[:, 12] = ord("e")
-    grid[:, 13] = np.where(exponent < 0, ord("-"), ord("+"))
-    magnitude = np.abs(exponent)
-    grid[:, 14] = np.where(magnitude >= 100, magnitude // 100 + ord("0"), 0)
-    grid[:, 15] = magnitude // 10 % 10 + ord("0")
-    grid[:, 16] = magnitude % 10 + ord("0")
+    # Exact in float64: the quotients of integers below 2^53 by 1e8 and
+    # 1e4 never round up to the next integer.
+    whole = np.rint(mantissa)
+    top = np.floor(whole / 1e8)
+    rest = whole - 1e8 * top
+    middle = np.floor(rest / 1e4)
+    low = (rest - 1e4 * middle).astype(np.intp)
+    packed = np.empty(flat.size, dtype=_FIELD)
+    packed["a"] = (
+        _LEAD[top.astype(np.intp)]
+        | _QUAD[middle.astype(np.intp)] << 32
+        | (flat < 0) * ord("-")
+    )
+    exponent += 300
+    packed["b"] = _QUAD[low] | _EXP_HI[exponent]
+    packed["c"] = _EXP_LO[exponent]
+    grid = packed.view(np.uint8).reshape(flat.size, 18)
+    grid.reshape(rows, columns, 18)[:, -1, 17] = ord("\n")
     for i in np.flatnonzero(~fast):
         text = b"%.9e" % flat[i]
         grid[i, :17] = 0
         grid[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-    fields = grid.reshape(rows, columns, 18)
-    fields[:, :, 17] = ord(",")
-    fields[:, -1, 17] = ord("\n")
-    return grid.tobytes().replace(b"\0", b"")
+    return grid.tobytes().translate(None, b"\0")
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -569,11 +591,7 @@ def write_sweep_csv(response: FrequencyResponse, path) -> None:
 
     Byte contract: every field is exactly ``"%.9e" % value`` (``nan`` in
     gap rows, ``-inf`` dB where S21 is exactly 0), so identical inputs give
-    identical files. ``format_csv_rows`` formats the rows with array
-    arithmetic and falls back to ``"%.9e" % value`` for values that are
-    non-finite, zero, subnormal or outside [1e-280, 1e280] in magnitude,
-    or whose ten-digit scaled mantissa lies within 1e-4 of a half-way point
-    or is at least 1e10 - 1.
+    identical files (see ``format_csv_rows``).
     """
     s21 = response.s21
     write_csv(

@@ -55,10 +55,10 @@ class LiquidLoad:
     covers_decay_length: bool = True
 
     def __post_init__(self):
-        if self.density < 0:
-            raise ValueError("liquid density must be >= 0")
-        if self.viscosity < 0:
-            raise ValueError("liquid viscosity must be >= 0")
+        if not 0 <= self.density < math.inf:
+            raise ValueError("liquid density must be finite and >= 0")
+        if not 0 <= self.viscosity < math.inf:
+            raise ValueError("liquid viscosity must be finite and >= 0")
         if self.density == 0 and self.viscosity > 0:
             raise ValueError("viscous liquid requires a positive density")
 
@@ -229,10 +229,12 @@ def density_from_frequency(
     needed. Frequencies at or above the liquid-free resonance imply a
     non-positive density and raise NoSolutionError.
     """
-    if measured_frequency <= 0:
-        raise ValueError("measured frequency must be > 0")
-    if assumed_viscosity < 0:
-        raise ValueError("assumed viscosity must be >= 0")
+    if not 0 < measured_frequency < math.inf:
+        raise ValueError("measured frequency must be finite and > 0")
+    if not 0 <= assumed_viscosity < math.inf:
+        raise ValueError("assumed viscosity must be finite and >= 0")
+    if not 0 <= tension < math.inf:
+        raise ValueError("tension must be finite and >= 0")
     stiffness = tension + plate.bending_term(wavelength)
     areal_mass = plate.mass_per_area
     unloaded_f = math.sqrt(stiffness / areal_mass) / wavelength

@@ -49,10 +49,10 @@ class LiquidSample:
     viscosity: float
 
     def __post_init__(self):
-        if self.density <= 0:
-            raise ValueError("liquid density must be > 0")
-        if self.viscosity < 0:
-            raise ValueError("liquid viscosity must be >= 0")
+        if not 0 < self.density < math.inf:
+            raise ValueError("liquid density must be finite and > 0")
+        if not 0 <= self.viscosity < math.inf:
+            raise ValueError("liquid viscosity must be finite and >= 0")
 
 
 @dataclass(frozen=True)

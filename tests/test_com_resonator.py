@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 import time
 import warnings
 from dataclasses import replace
@@ -26,13 +27,20 @@ from fpwsim import (
     spacing_matrix,
     write_sweep_csv,
 )
-from fpwsim.com_resonator import format_csv_rows, port_coupling
+from fpwsim.com_resonator import (
+    _POW10,
+    SWEEP_BLOCK_POINTS,
+    format_csv_rows,
+    port_coupling,
+    write_csv,
+)
 from conftest import WAVELENGTH
 from oracles import (
     bragg_reflection_magnitude,
     chain_elements,
     chain_s21,
     lorentzian_magnitude,
+    reference_csv,
     reference_sweep_csv,
 )
 
@@ -41,10 +49,10 @@ BULK_F0 = 60e6  # 2400 m/s over 40 um
 
 class TestDesignSpacing:
     def test_fundamental_gap(self):
-        assert design_spacing(0, WAVELENGTH) == pytest.approx(5e-6, rel=1e-12)
+        assert design_spacing(0, WAVELENGTH) == pytest.approx(5e-6, rel=1e-12, abs=0.0)
 
     def test_next_order_gap(self):
-        assert design_spacing(1, WAVELENGTH) == pytest.approx(25e-6, rel=1e-12)
+        assert design_spacing(1, WAVELENGTH) == pytest.approx(25e-6, rel=1e-12, abs=0.0)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
@@ -455,8 +463,13 @@ class TestFindResonance:
             find_resonance(gapped)
 
 
-def _percent_formatted(values):
-    return "".join("%.9e\n" % value for value in values).encode()
+def _percent_formatted(rows):
+    """Row oracle: each row's ``"%.9e" % value`` fields joined by commas."""
+    return "".join(",".join("%.9e" % v for v in row) + "\n" for row in rows).encode()
+
+
+def _float_from_bits(bits):
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
 
 
 class TestCsvExport:
@@ -464,7 +477,7 @@ class TestCsvExport:
     @given(st.lists(st.floats(), min_size=1, max_size=64))
     def test_fields_match_percent_format(self, values):
         column = np.array(values, dtype=float)[:, None]
-        assert format_csv_rows(column) == _percent_formatted(values)
+        assert format_csv_rows(column) == _percent_formatted(column.tolist())
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -495,9 +508,55 @@ class TestCsvExport:
         ],
     )
     def test_edge_values_match_percent_format(self, value):
-        values = [value, -value]
-        column = np.array(values)[:, None]
-        assert format_csv_rows(column) == _percent_formatted(values)
+        column = np.array([value, -value])[:, None]
+        assert format_csv_rows(column) == _percent_formatted(column.tolist())
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 3000),
+        columns=st.integers(1, 6),
+        pool=st.lists(
+            st.one_of(
+                st.integers(0, 2**64 - 1).map(_float_from_bits), st.floats()
+            ),
+            min_size=1,
+            max_size=32,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_percent_format(self, rows, columns, pool, seed):
+        # Every field's separator word is exercised: "," between fields and
+        # "\n" after the last column. Half the fields are raw 64-bit
+        # patterns (NaNs, subnormals and every exponent), half come from the
+        # drawn pool.
+        rng = np.random.default_rng(seed)
+        values = rng.integers(
+            0, 2**64, size=(rows, columns), dtype=np.uint64
+        ).view(np.float64)
+        picked = rng.random((rows, columns)) < 0.5
+        values[picked] = rng.choice(np.array(pool), size=int(picked.sum()))
+        assert format_csv_rows(values) == _percent_formatted(values.tolist())
+
+    def test_power_table_is_correctly_rounded(self):
+        # The kernel's mantissa error bound assumes each 10^k is the nearest
+        # double, which 10.0**k is not for some k.
+        assert _POW10.tolist() == [float("1e%d" % k) for k in range(-300, 301)]
+
+    def test_write_csv_matches_row_oracle_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(47)
+        rows = 2 * SWEEP_BLOCK_POINTS + 5
+        columns = [
+            np.linspace(-1e3, 1e3, rows),
+            rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows),
+            rng.integers(0, 2**64, size=rows, dtype=np.uint64).view(np.float64),
+            np.where(rng.random(rows) < 0.01, np.nan, rng.uniform(-90.0, 0.0, rows)),
+            np.round(rng.uniform(-1e6, 1e6, rows), 3),
+        ]
+        write_csv(tmp_path / "kernel.csv", "a,b,c,d,e", columns)
+        reference_csv(tmp_path / "oracle.csv", "a,b,c,d,e", zip(*columns))
+        assert (tmp_path / "kernel.csv").read_bytes() == (
+            tmp_path / "oracle.csv"
+        ).read_bytes()
 
     def test_sweep_csv_matches_row_oracle_over_variants(
         self, bulk_geometry, tmp_path

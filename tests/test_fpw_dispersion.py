@@ -47,7 +47,7 @@ class TestEvanescentDecayLength:
     def test_design_wavelength(self):
         # Direct evaluation: 40e-6 / (2 pi).
         assert evanescent_decay_length(WAVELENGTH) == pytest.approx(
-            6.366197723675814e-06, rel=1e-12
+            6.366197723675814e-06, rel=1e-12, abs=0.0
         )
 
     def test_two_pi_wavelength_gives_unity(self):
@@ -93,12 +93,18 @@ class TestViscousMass:
         solution = _checked_operating_point(pinned_plate, 1000.0, 0.001)
         # Frozen from the separate sqrt(2 eta / (omega rho)) evaluation that
         # this operating point replaced.
-        assert solution.viscous_length == pytest.approx(2.35908727155e-07, rel=1e-9)
-        assert solution.viscous_mass == pytest.approx(1.17954363578e-04, rel=1e-9)
+        assert solution.viscous_length == pytest.approx(
+            2.35908727155e-07, rel=1e-9, abs=0.0
+        )
+        assert solution.viscous_mass == pytest.approx(
+            1.17954363578e-04, rel=1e-9, abs=0.0
+        )
 
     def test_glycerol(self, pinned_plate):
         solution = _checked_operating_point(pinned_plate, 1200.0, 0.934)
-        assert solution.viscous_length == pytest.approx(6.64871101221e-06, rel=1e-9)
+        assert solution.viscous_length == pytest.approx(
+            6.64871101221e-06, rel=1e-9, abs=0.0
+        )
         assert solution.viscous_mass == pytest.approx(3.98922660733e-03, rel=1e-9)
 
     def test_inviscid_is_zero(self, pinned_plate):
@@ -263,12 +269,12 @@ class TestSensitivities:
     def test_mass_sensitivity_water_loaded(self):
         # Frozen hand evaluation at the pinned areal mass.
         assert mass_sensitivity(0.1176, 1000.0, DELTA_E) == pytest.approx(
-            -2.56771516775e-05, rel=1e-9
+            -2.56771516775e-05, rel=1e-9, abs=0.0
         )
 
     def test_dry_limit(self):
         assert mass_sensitivity(0.1176, 0.0, DELTA_E) == pytest.approx(
-            -DELTA_E / (2 * 0.1176), rel=1e-12
+            -DELTA_E / (2 * 0.1176), rel=1e-12, abs=0.0
         )
 
     def test_matches_finite_differences(self, pinned_plate):
@@ -385,6 +391,30 @@ class TestDensityFromFrequency:
         recovered = _round_trip(pinned_plate, density, viscosity, tension)
         assert recovered == pytest.approx(density, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("measured_frequency", math.nan),
+            ("measured_frequency", math.inf),
+            ("assumed_viscosity", math.nan),
+            ("assumed_viscosity", math.inf),
+            ("tension", math.nan),
+            ("tension", math.inf),
+            ("tension", -1.0),
+        ],
+    )
+    def test_non_finite_or_negative_inputs_rejected(
+        self, pinned_plate, argument, value
+    ):
+        arguments = {
+            "measured_frequency": 4.75e6,
+            "plate": pinned_plate,
+            "wavelength": WAVELENGTH,
+            argument: value,
+        }
+        with pytest.raises(ValueError, match="finite"):
+            density_from_frequency(**arguments)
+
     def test_matches_bisection_oracle(self, pinned_plate):
         bending = pinned_plate.bending_term(WAVELENGTH)
         areal_mass = pinned_plate.mass_per_area
@@ -418,6 +448,14 @@ class TestLoadTypes:
     def test_negative_viscosity_rejected(self):
         with pytest.raises(ValueError):
             LiquidLoad(1000.0, -0.1)
+
+    @pytest.mark.parametrize(
+        "density, viscosity",
+        [(math.nan, 0.0), (math.inf, 0.0), (1000.0, math.nan), (1000.0, math.inf)],
+    )
+    def test_non_finite_liquid_rejected(self, density, viscosity):
+        with pytest.raises(ValueError, match="finite"):
+            LiquidLoad(density, viscosity)
 
     def test_viscous_vacuum_rejected(self):
         with pytest.raises(ValueError):

@@ -222,12 +222,13 @@ class TestViscosityCouplingReport:
             PRESET_LIQUIDS["water"], pinned_plate, WAVELENGTH
         )
         assert report.entrained_mass == pytest.approx(
-            1000.0 * WAVELENGTH / (2 * np.pi), rel=1e-12
+            1000.0 * WAVELENGTH / (2 * np.pi), rel=1e-12, abs=0.0
         )
         assert report.viscous_mass == report.operating_point.viscous_mass
         assert report.ratio == pytest.approx(
             report.viscous_mass / (report.viscous_mass + report.entrained_mass),
             rel=1e-12,
+            abs=0.0,
         )
 
     def test_solves_through_module_level_loaded_velocity_once(
@@ -343,3 +344,13 @@ class TestDomainTypes:
             LiquidSample("x", 0.0, 0.0)
         with pytest.raises(ValueError):
             LiquidSample("x", 1000.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "density, viscosity",
+        [(math.nan, 0.0), (math.inf, 0.0), (1000.0, math.nan), (1000.0, math.inf)],
+    )
+    def test_non_finite_liquid_sample_rejected(self, density, viscosity):
+        # A NaN here used to reach predict_frequency and
+        # viscosity_coupling_report and come back as a NaN frequency or ratio.
+        with pytest.raises(ValueError, match="finite"):
+            LiquidSample("x", density, viscosity)

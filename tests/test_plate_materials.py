@@ -86,7 +86,7 @@ class TestMassPerArea:
             a = random_stack(rng, int(rng.integers(1, 4)))
             b = random_stack(rng, int(rng.integers(1, 4)))
             assert mass_per_area(a + b) == pytest.approx(
-                mass_per_area(a) + mass_per_area(b), rel=1e-12
+                mass_per_area(a) + mass_per_area(b), rel=1e-12, abs=0.0
             )
 
     def test_empty_stack_rejected(self):
@@ -164,7 +164,7 @@ class TestBracketingProperties:
 class TestCompositePlate:
     def test_thickness_is_layer_sum(self, plate, reference_layers):
         assert plate.total_thickness == pytest.approx(
-            total_thickness(reference_layers), rel=1e-15
+            total_thickness(reference_layers), rel=1e-15, abs=0.0
         )
 
     def test_override_pins_value_and_keeps_computed(self, reference_layers):
