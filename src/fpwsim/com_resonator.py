@@ -65,9 +65,6 @@ import numpy as np
 from .fpw_dispersion import LoadingState, loaded_velocity
 from .plate_materials import CompositePlate
 
-# 2x2 acoustic transfer matrices are plain complex ndarrays of shape (2, 2).
-TransmissionMatrix2 = np.ndarray
-
 # Electrical reference admittance of the measurement ports (1/50 ohm).
 PORT_ADMITTANCE = 0.02
 
@@ -107,17 +104,17 @@ class DeviceGeometry:
     grating_gap: float = 5.0e-6
 
     def __post_init__(self):
-        if self.wavelength <= 0:
+        if not 0 < self.wavelength < math.inf:
             raise ValueError("wavelength must be > 0")
         if self.idt_pairs < 1:
             raise ValueError("idt_pairs must be >= 1")
-        if self.grating_strips < 0:
+        if not 0 <= self.grating_strips < math.inf:
             raise ValueError("grating_strips must be >= 0")
-        if self.overlap <= 0:
+        if not 0 < self.overlap < math.inf:
             raise ValueError("overlap must be > 0")
-        if self.idt_separation < 0:
+        if not 0 <= self.idt_separation < math.inf:
             raise ValueError("idt_separation must be >= 0")
-        if self.grating_gap < 0:
+        if not 0 <= self.grating_gap < math.inf:
             raise ValueError("grating_gap must be >= 0")
 
     @property
@@ -154,17 +151,19 @@ class ComParameters:
     attenuation: float = 0.0
 
     def __post_init__(self):
-        if self.free_velocity <= 0:
+        if not 0 < self.free_velocity < math.inf:
             raise ValueError("free_velocity must be > 0")
         if not 0 <= self.strip_reflectivity < 0.2:
             raise ValueError("strip_reflectivity magnitude must lie in [0, 0.2)")
-        if abs(self.transduction_strength) >= 1.0:
+        if not math.isfinite(self.reflection_phase):
+            raise ValueError("reflection_phase must be finite")
+        if not abs(self.transduction_strength) < 1.0:
             raise ValueError(
                 "normalized transduction_strength magnitude must be < 1"
             )
-        if self.static_capacitance_per_pair < 0:
+        if not 0 <= self.static_capacitance_per_pair < math.inf:
             raise ValueError("static_capacitance_per_pair must be >= 0")
-        if self.attenuation < 0:
+        if not 0 <= self.attenuation < math.inf:
             raise ValueError("attenuation must be >= 0")
 
     def center_frequency(self, wavelength: float) -> float:
@@ -213,16 +212,16 @@ class ResonanceSummary:
 
 def design_spacing(index: int, wavelength: float) -> float:
     """Grating-to-IDT gap (1/8 + index/2) * wavelength for a sharp peak (m)."""
-    if index < 0 or int(index) != index:
+    if not 0 <= index < math.inf or int(index) != index:
         raise ValueError("spacing index must be a non-negative integer")
-    if wavelength <= 0:
+    if not 0 < wavelength < math.inf:
         raise ValueError("wavelength must be > 0")
     return (0.125 + 0.5 * index) * wavelength
 
 
 def spacing_matrix(
     frequency: float, length: float, params: ComParameters
-) -> TransmissionMatrix2:
+) -> np.ndarray:
     """Transfer matrix of a bare propagation path of the given length."""
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -268,7 +267,7 @@ def grating_entries(frequencies, geometry: DeviceGeometry, params: ComParameters
 
 def grating_matrix(
     frequency: float, geometry: DeviceGeometry, params: ComParameters
-) -> TransmissionMatrix2:
+) -> np.ndarray:
     """Transfer matrix of one reflection grating at one frequency.
 
     Zero strips or zero strip reflectivity reduce it to plain propagation
@@ -377,14 +376,6 @@ def _s21_block(frequencies, geometry, params, drive_port):
     return np.where(solved, s21, complex(np.nan, np.nan))
 
 
-def default_sweep_bounds(center_frequency: float) -> tuple[float, float]:
-    """Standard sweep window around the synchronous frequency."""
-    return (
-        center_frequency * (1.0 - DEFAULT_SWEEP_SPAN),
-        center_frequency * (1.0 + DEFAULT_SWEEP_SPAN),
-    )
-
-
 def s21_sweep(
     geometry: DeviceGeometry,
     params: ComParameters,
@@ -403,10 +394,10 @@ def s21_sweep(
     if points < 2:
         raise ValueError("points must be >= 2")
     f0 = params.center_frequency(geometry.wavelength)
-    if f_start is None or f_stop is None:
-        lo, hi = default_sweep_bounds(f0)
-        f_start = lo if f_start is None else f_start
-        f_stop = hi if f_stop is None else f_stop
+    if f_start is None:
+        f_start = f0 * (1.0 - DEFAULT_SWEEP_SPAN)
+    if f_stop is None:
+        f_stop = f0 * (1.0 + DEFAULT_SWEEP_SPAN)
     if not 0 < f_start < f_stop:
         raise ValueError("need 0 < f_start < f_stop")
 
@@ -576,6 +567,8 @@ def write_csv(path, header: str, columns) -> None:
     """Write ``header`` and one ``format_csv_rows`` line per entry of the
     equal-length 1-D ``columns``, SWEEP_BLOCK_POINTS rows at a time."""
     columns = [np.asarray(column, dtype=float) for column in columns]
+    if len({len(column) for column in columns}) != 1:
+        raise ValueError("CSV columns differ in length")
     with open(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
         for start in range(0, len(columns[0]), SWEEP_BLOCK_POINTS):

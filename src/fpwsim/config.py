@@ -172,12 +172,22 @@ def parse_device_config(text: str) -> DeviceConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
+    overrides = sections["override"]
+    try:
+        if layers:  # validate the effective plate eagerly, overrides applied
+            CompositePlate.from_layers(layers, overrides)
+    except ValueError as exc:
+        # The message names the parameter; a pinned one has a line.
+        named = [key for key in overrides if key in str(exc)]
+        lineno = key_lines["override", named[0]] if named else None
+        raise ConfigError(str(exc), lineno) from None
+
     return DeviceConfig(
         layers=tuple(layers),
         geometry=device_geometry,
         com_velocity=com_velocity,
         com_settings=com,
-        overrides=sections["override"],
+        overrides=overrides,
     )
 
 

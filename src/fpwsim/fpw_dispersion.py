@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .plate_materials import CompositePlate
 
@@ -77,12 +78,14 @@ class LoadingState:
 
 @dataclass(frozen=True)
 class VelocitySolution:
-    """Closed-form loading solution (``iterations`` 0, ``converged`` True).
+    """Closed-form loading solution.
 
     phase_velocity in m/s, resonant_frequency in Hz, lengths in m,
     viscous_mass in kg/m^2. ``sound_speed_ratio`` is phase velocity over
     the water sound speed (small means the decay-length approximation is
-    safe). ``warnings`` collects non-fatal precondition violations.
+    safe). ``warnings`` collects non-fatal precondition violations. Every
+    solve is closed form, so ``iterations`` (0) and ``converged`` (True) are
+    class constants, not stored per solution.
     """
 
     phase_velocity: float
@@ -90,10 +93,10 @@ class VelocitySolution:
     evanescent_length: float
     viscous_length: float
     viscous_mass: float
-    iterations: int
-    converged: bool
     sound_speed_ratio: float
     warnings: tuple[str, ...] = field(default_factory=tuple)
+    iterations: ClassVar[int] = 0
+    converged: ClassVar[bool] = True
 
 
 def unloaded_velocity(bending: float, areal_mass: float) -> float:
@@ -176,8 +179,6 @@ def loaded_velocity(
         evanescent_length=evanescent_decay_length(wavelength),
         viscous_length=2.0 * m_eta / rho if eta else 0.0,
         viscous_mass=m_eta,
-        iterations=0,
-        converged=True,
         sound_speed_ratio=ratio,
         warnings=tuple(warnings),
     )

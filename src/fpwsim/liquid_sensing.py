@@ -22,18 +22,12 @@ from typing import Iterable
 import numpy as np
 
 from .config import content_lines, finite_float
-from .fpw_dispersion import (
-    LiquidLoad,
-    LoadingState,
-    VelocitySolution,
-    _phase_velocity,
-    loaded_velocity,
-)
+from .fpw_dispersion import LiquidLoad, LoadingState, _phase_velocity, loaded_velocity
 from .plate_materials import CompositePlate
 
 # Fraction of the total added liquid mass the viscous part may reach before
 # a frequency reading stops identifying density alone.
-DEFAULT_COUPLING_THRESHOLD = 0.05
+COUPLING_THRESHOLD = 0.05
 
 
 class DegenerateFitError(ValueError):
@@ -90,16 +84,18 @@ class CalibrationFit:
 
 @dataclass(frozen=True)
 class CouplingReport:
-    """Relative weight of viscous vs density-entrained liquid mass."""
+    """Relative weight of viscous vs density-entrained liquid mass.
 
-    liquid: LiquidSample
+    viscous_mass and entrained_mass in kg/m^2 at the loaded operating point;
+    ``ratio`` is the viscous share of their sum, and density sensing is
+    valid while it stays at or below COUPLING_THRESHOLD.
+    """
+
     viscous_mass: float
     entrained_mass: float
     ratio: float
-    threshold: float
     density_sensing_valid: bool
     verdict: str
-    operating_point: VelocitySolution
 
 
 def fit_density_sensitivity(
@@ -155,47 +151,39 @@ def invert_density_calibrated(
     frequency lies outside the calibrated range.
     """
     if fit.slope == 0.0:
-        raise ValueError("calibration slope is zero; cannot invert")
+        raise DegenerateFitError("calibration slope is zero; cannot invert")
     density = (frequency - fit.intercept) / fit.slope
     lo, hi = fit.frequency_range()
     return density, not lo <= frequency <= hi
 
 
 def viscosity_coupling_report(
-    liquid: LiquidSample,
-    plate: CompositePlate,
-    wavelength: float,
-    threshold: float = DEFAULT_COUPLING_THRESHOLD,
+    liquid: LiquidSample, plate: CompositePlate, wavelength: float
 ) -> CouplingReport:
     """Judge whether a frequency reading identifies density for this liquid.
 
-    Solves the loaded operating point, then compares the viscous mass
-    against the total added liquid mass. Above ``threshold`` the density
-    and viscosity contributions are entangled and a frequency shift alone
-    cannot be attributed to density.
+    Solves the loaded operating point once, with ``loaded_velocity``, then
+    compares the viscous mass against the total added liquid mass. Above
+    COUPLING_THRESHOLD the density and viscosity contributions are
+    entangled and a frequency shift alone cannot be attributed to density.
     """
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must lie in (0, 1)")
     load = LoadingState(0.0, LiquidLoad(liquid.density, liquid.viscosity))
     solution = loaded_velocity(plate, load, wavelength)
     entrained = liquid.density * solution.evanescent_length
     viscous = solution.viscous_mass
     ratio = viscous / (viscous + entrained)
-    valid = ratio <= threshold
+    valid = ratio <= COUPLING_THRESHOLD
     verdict = (
         "density sensing valid"
         if valid
         else "coupled; density not invertible from frequency alone"
     )
     return CouplingReport(
-        liquid=liquid,
         viscous_mass=viscous,
         entrained_mass=entrained,
         ratio=ratio,
-        threshold=threshold,
         density_sensing_valid=valid,
         verdict=verdict,
-        operating_point=solution,
     )
 
 
@@ -203,7 +191,7 @@ def tension_effect(
     resonant_frequency: float, tension_sens: float, tension: float
 ) -> float:
     """First-order frequency shift (Hz) from in-plane tension."""
-    if tension < 0:
+    if not 0 <= tension < math.inf:
         raise ValueError("tension must be >= 0")
     return resonant_frequency * tension_sens * tension
 

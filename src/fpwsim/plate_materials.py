@@ -41,12 +41,9 @@ class MaterialLayer:
     density: float
 
     def __post_init__(self):
-        if self.thickness <= 0:
-            raise ValueError(f"layer {self.name!r}: thickness must be > 0")
-        if self.young_modulus <= 0:
-            raise ValueError(f"layer {self.name!r}: young_modulus must be > 0")
-        if self.density <= 0:
-            raise ValueError(f"layer {self.name!r}: density must be > 0")
+        for name in ("thickness", "young_modulus", "density"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"layer {self.name!r}: {name} must be > 0")
         if not 0 <= self.poisson_ratio < 0.5:
             raise ValueError(
                 f"layer {self.name!r}: poisson_ratio must lie in [0, 0.5)"
@@ -123,6 +120,22 @@ def bending_term(plate_mod: float, thickness: float, wavelength: float) -> float
     return flexural_rigidity(plate_mod, thickness) * k**2
 
 
+def _effective(
+    stack: Sequence[MaterialLayer], overrides: Mapping[str, float]
+) -> dict[str, float]:
+    """The five effective parameters of ``stack``; pinned values win, and a
+    pinned E or nu feeds the derived plate modulus E / (1 - nu^2)."""
+    e_eff = overrides.get("young_modulus", effective_young_modulus(stack))
+    nu_eff = overrides.get("poisson_ratio", effective_poisson(stack))
+    return {
+        "total_thickness": overrides.get("total_thickness", total_thickness(stack)),
+        "young_modulus": e_eff,
+        "poisson_ratio": nu_eff,
+        "plate_modulus": overrides.get("plate_modulus", plate_modulus(e_eff, nu_eff)),
+        "mass_per_area": overrides.get("mass_per_area", mass_per_area(stack)),
+    }
+
+
 @dataclass(frozen=True)
 class CompositePlate:
     """Homogenized description of a layered membrane.
@@ -142,13 +155,15 @@ class CompositePlate:
     overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mass_per_area <= 0:
-            raise ValueError("mass_per_area must be > 0")
-        if self.total_thickness <= 0:
-            raise ValueError("total_thickness must be > 0")
         for key in self.overrides:
             if key not in OVERRIDABLE_PARAMETERS:
                 raise ValueError(f"unknown override parameter {key!r}")
+        if not 0 <= self.poisson_ratio < 0.5:
+            raise ValueError("poisson_ratio must lie in [0, 0.5)")
+        for name in ("young_modulus", "plate_modulus", "mass_per_area",
+                     "total_thickness"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
     @classmethod
     def from_layers(
@@ -163,32 +178,12 @@ class CompositePlate:
         An overridden Young's modulus or Poisson ratio propagates into the
         derived plate modulus unless that is itself pinned.
         """
-        stack = tuple(layers)
-        _require_layers(stack)
-        ov = dict(overrides or {})
-        e_eff = ov.get("young_modulus", effective_young_modulus(stack))
-        nu_eff = ov.get("poisson_ratio", effective_poisson(stack))
-        return cls(
-            layers=stack,
-            total_thickness=ov.get("total_thickness", total_thickness(stack)),
-            young_modulus=e_eff,
-            poisson_ratio=nu_eff,
-            plate_modulus=ov.get("plate_modulus", plate_modulus(e_eff, nu_eff)),
-            mass_per_area=ov.get("mass_per_area", mass_per_area(stack)),
-            overrides=ov,
-        )
+        stack, ov = tuple(layers), dict(overrides or {})
+        return cls(layers=stack, overrides=ov, **_effective(stack, ov))
 
     def computed(self) -> dict[str, float]:
         """Stack-derived effective parameters, ignoring any overrides."""
-        e_eff = effective_young_modulus(self.layers)
-        nu_eff = effective_poisson(self.layers)
-        return {
-            "total_thickness": total_thickness(self.layers),
-            "young_modulus": e_eff,
-            "poisson_ratio": nu_eff,
-            "plate_modulus": plate_modulus(e_eff, nu_eff),
-            "mass_per_area": mass_per_area(self.layers),
-        }
+        return _effective(self.layers, {})
 
     def bending_term(self, wavelength: float) -> float:
         """Bending stiffness (N/m) of this plate at the given wavelength."""

@@ -242,6 +242,26 @@ class TestPlateCommand:
         assert result.exit_status == 2
         assert line in result.errors[0]
 
+    @pytest.mark.parametrize("command", ["plate", "dispersion"])
+    @pytest.mark.parametrize(
+        "override",
+        ["mass_per_area = -1", "poisson_ratio = 2", "plate_modulus = -1e11",
+         "poisson_ratio = -0.5"],
+    )
+    def test_bad_override_exits_2_naming_its_line(
+        self, tmp_path, capsys, command, override
+    ):
+        path = tmp_path / "pinned.cfg"
+        path.write_text(
+            MINIMAL_CONFIG + f"[override]\ntotal_thickness = 2e-6\n{override}\n"
+        )
+        status = main(["--config", str(path), command])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        key = override.split()[0]
+        assert captured.err.startswith(f"error: line 12: {key} must ")
+
     def test_overflowing_layer_exits_1(self, tmp_path, capsys):
         path = tmp_path / "thick.cfg"
         path.write_text(MINIMAL_CONFIG.replace("1e-6", "1e200"))
@@ -440,6 +460,14 @@ class TestFitInvertCommands:
         assert result.exit_status == 0
         line = next(l for l in result.summary if l.startswith("density_g_cm3"))
         assert float(line.split(":")[1]) == pytest.approx(1.0, abs=0.01)
+
+    def test_invert_zero_slope_exits_2(self, tmp_path):
+        path = tmp_path / "flat.txt"
+        path.write_text("1000 5e6\n1200 5e6\n")
+        assert run(["fit", "--points", str(path)]).exit_status == 0
+        result = run(["invert", "--freq", "5e6", "--points", str(path)])
+        assert result.exit_status == 2
+        assert "slope is zero" in result.errors[0]
 
     def test_invert_out_of_range_warns(self, points_file):
         result = run(["invert", "--freq", "6.5e6", "--points", points_file])

@@ -473,6 +473,13 @@ def _float_from_bits(bits):
 
 
 class TestCsvExport:
+    @pytest.mark.parametrize("lengths", [(2048, 3000), (3000, 2048)])
+    def test_write_csv_refuses_unequal_columns(self, tmp_path, lengths):
+        path = tmp_path / "ragged.csv"
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv(path, "a,b", [np.ones(n) for n in lengths])
+        assert not path.exists()
+
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=64))
     def test_fields_match_percent_format(self, values):
@@ -664,3 +671,33 @@ class TestGeometryValidation:
             ComParameters(free_velocity=2400.0, strip_reflectivity=0.25)
         with pytest.raises(ValueError):
             ComParameters(free_velocity=2400.0, attenuation=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["wavelength", "grating_strips", "overlap", "idt_separation",
+         "grating_gap"],
+    )
+    def test_geometry_refuses_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            DeviceGeometry(**{"wavelength": WAVELENGTH, name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["free_velocity", "strip_reflectivity", "reflection_phase",
+         "transduction_strength", "static_capacitance_per_pair", "attenuation"],
+    )
+    def test_com_parameters_refuse_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ComParameters(**{"free_velocity": 2400.0, name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_design_spacing_refuses_non_finite_wavelength(self, value):
+        with pytest.raises(ValueError, match="wavelength"):
+            design_spacing(0, value)
+
+    @pytest.mark.parametrize("index", [math.nan, math.inf, 1.5])
+    def test_design_spacing_refuses_non_integer_index(self, index):
+        with pytest.raises(ValueError, match="spacing index"):
+            design_spacing(index, WAVELENGTH)

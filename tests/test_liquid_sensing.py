@@ -224,7 +224,6 @@ class TestViscosityCouplingReport:
         assert report.entrained_mass == pytest.approx(
             1000.0 * WAVELENGTH / (2 * np.pi), rel=1e-12, abs=0.0
         )
-        assert report.viscous_mass == report.operating_point.viscous_mass
         assert report.ratio == pytest.approx(
             report.viscous_mass / (report.viscous_mass + report.entrained_mass),
             rel=1e-12,
@@ -248,7 +247,7 @@ class TestViscosityCouplingReport:
             PRESET_LIQUIDS["glycerol"], pinned_plate, WAVELENGTH
         )
         assert len(calls) == 1
-        assert report.operating_point == loaded_velocity(*calls[0])
+        assert report.viscous_mass == loaded_velocity(*calls[0]).viscous_mass
 
 
 class TestTensionEffect:
@@ -275,6 +274,11 @@ class TestTensionEffect:
     def test_negative_tension_rejected(self):
         with pytest.raises(ValueError):
             tension_effect(5.876e6, 7.69e-5, -1.0)
+
+    @pytest.mark.parametrize("tension", [math.nan, math.inf])
+    def test_non_finite_tension_rejected(self, tension):
+        with pytest.raises(ValueError, match="tension"):
+            tension_effect(5.876e6, 7.69e-5, tension)
 
 
 class TestReferenceDatasets:

@@ -14,6 +14,7 @@ from fpwsim import (
     plate_modulus,
     total_thickness,
 )
+from fpwsim.plate_materials import OVERRIDABLE_PARAMETERS
 from conftest import PUBLISHED, WAVELENGTH
 
 
@@ -189,6 +190,33 @@ class TestCompositePlate:
         with pytest.raises(ValueError):
             CompositePlate.from_layers([])
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"mass_per_area": -1.0},
+            {"mass_per_area": math.nan},
+            {"total_thickness": math.inf},
+            {"young_modulus": 0.0},
+            {"plate_modulus": -1e11},
+            {"plate_modulus": math.nan},
+            {"poisson_ratio": 2.0},
+            {"poisson_ratio": 0.7, "plate_modulus": 3e11},
+            {"poisson_ratio": -0.5},
+            {"poisson_ratio": math.nan},
+        ],
+    )
+    def test_invalid_effective_values_rejected(self, reference_layers, overrides):
+        with pytest.raises(ValueError, match=next(iter(overrides))):
+            CompositePlate.from_layers(reference_layers, overrides)
+
+    def test_computed_is_the_unpinned_plate(self, plate, reference_layers):
+        pinned = CompositePlate.from_layers(
+            reference_layers, {"young_modulus": 2e11, "mass_per_area": 0.1}
+        )
+        assert pinned.computed() == {
+            name: getattr(plate, name) for name in OVERRIDABLE_PARAMETERS
+        }
+
     def test_bending_term_uses_effective_parameters(self, plate):
         expected = bending_term(
             plate.plate_modulus, plate.total_thickness, WAVELENGTH
@@ -206,6 +234,11 @@ class TestMaterialLayerValidation:
             {"density": -1.0},
             {"poisson_ratio": 0.5},
             {"poisson_ratio": -0.1},
+            {"thickness": math.nan},
+            {"thickness": math.inf},
+            {"young_modulus": math.inf},
+            {"density": math.nan},
+            {"poisson_ratio": math.nan},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
