@@ -20,7 +20,6 @@ from .fpw_dispersion import (
     density_from_frequency,
     evanescent_decay_length,
     loaded_velocity,
-    resonant_frequency,
     sensitivities,
     unloaded_velocity,
 )
@@ -34,10 +33,8 @@ from .com_resonator import (
     design_spacing,
     find_resonance,
     fpw_device_response,
-    grating_matrix,
     grating_scattering,
     s21_sweep,
-    spacing_matrix,
     write_sweep_csv,
 )
 from .liquid_sensing import (
@@ -51,7 +48,6 @@ from .liquid_sensing import (
     load_liquid_library,
     load_reference_datasets,
     predict_frequency,
-    tension_effect,
     viscosity_coupling_report,
 )
 from .config import ConfigError, DeviceConfig, parse_device_config

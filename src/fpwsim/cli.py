@@ -256,6 +256,9 @@ def _cmd_s21(args) -> RunResult:
         f"bandwidth_3db_hz: {_NUM % summary.bandwidth_3db}",
         f"quality_factor: {_NUM % summary.quality_factor}",
     ]
+    if summary.peak_magnitude > 1.0 + 1e-12:
+        lines.append("warning: peak |S21| > 1; the transversal IDT model is not "
+                     "passive here")
     return RunResult(
         command="s21", summary=tuple(lines), output_files=(args.out,)
     )

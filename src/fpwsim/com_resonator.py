@@ -48,11 +48,10 @@ transduction launches waves from the IDT center with a sin(x)/x array
 factor over the finger pairs, the launch amplitude is capped by the power
 the electrical port actually accepts (|mu|^2 = (1 - |reflection|^2) / 2),
 and the acoustic through-path is propagation scaled by sqrt(1 - |mu|^2),
-the energy the electrical tap removes per pass. This keeps |S21| <= 1
-throughout the model's weak-coupling validity envelope (reflector
-strength N |r_s| up to about 1, launch coupling |mu| well below 1); a
-no-regeneration IDT cannot be exactly passive for arbitrarily strong
-cavities, so far outside that envelope second-order leakage can appear.
+the energy the electrical tap removes per pass. A no-regeneration IDT is
+not passive: a little more cavity or transduction than the reference
+device's (peak |S21| 0.745) lifts the peak above 1 (1.03 at transduction
+0.6, 1.73 at strip reflectivity 0.05), and ``fpwsim s21`` then warns.
 """
 
 from __future__ import annotations
@@ -219,19 +218,6 @@ def design_spacing(index: int, wavelength: float) -> float:
     return (0.125 + 0.5 * index) * wavelength
 
 
-def spacing_matrix(
-    frequency: float, length: float, params: ComParameters
-) -> np.ndarray:
-    """Transfer matrix of a bare propagation path of the given length."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if frequency <= 0:
-        raise ValueError("frequency must be > 0")
-    gamma = params.attenuation + 1j * 2.0 * math.pi * frequency / params.free_velocity
-    phase = cmath.exp(gamma * length)
-    return np.array([[phase, 0.0], [0.0, 1.0 / phase]], dtype=complex)
-
-
 def grating_entries(frequencies, geometry: DeviceGeometry, params: ComParameters):
     """Transfer-matrix entries (g00, g01, g10, g11) of one grating.
 
@@ -265,19 +251,6 @@ def grating_entries(frequencies, geometry: DeviceGeometry, params: ComParameters
     )
 
 
-def grating_matrix(
-    frequency: float, geometry: DeviceGeometry, params: ComParameters
-) -> np.ndarray:
-    """Transfer matrix of one reflection grating at one frequency.
-
-    Zero strips or zero strip reflectivity reduce it to plain propagation
-    over the grating length.
-    """
-    if frequency <= 0:
-        raise ValueError("frequency must be > 0")
-    return np.array(grating_entries([frequency], geometry, params)).reshape(2, 2)
-
-
 def grating_scattering(
     frequency: float, geometry: DeviceGeometry, params: ComParameters
 ) -> tuple[complex, complex]:
@@ -287,8 +260,10 @@ def grating_scattering(
     reflection magnitude is tanh(N |r_s|) with phase +90 deg for zero
     reflection phase.
     """
-    g = grating_matrix(frequency, geometry, params)
-    return g[1, 0] / g[0, 0], 1.0 / g[0, 0]
+    if frequency <= 0:
+        raise ValueError("frequency must be > 0")
+    g00, _, g10, _ = grating_entries([frequency], geometry, params)
+    return g10[0] / g00[0], 1.0 / g00[0]
 
 
 def array_factor(frequency, center_frequency: float, pairs: int):

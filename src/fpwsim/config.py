@@ -90,22 +90,32 @@ class DeviceConfig:
         return ComParameters(free_velocity=velocity, **self.com_settings)
 
 
-def _build_layer(entries: dict[str, object], index: int, lineno: int) -> MaterialLayer:
-    """Validated layer of one ``[layer]`` section, named ``layer<index>`` if unnamed."""
-    entries.setdefault("name", f"layer{index}")
+def _add_layer(layers: dict[int, MaterialLayer], entries: dict, lineno: int) -> None:
+    """Validate one ``[layer]`` into ``layers[lineno]``, ``layer<n>`` if unnamed."""
+    entries.setdefault("name", f"layer{len(layers) + 1}")
     missing = _LAYER_REQUIRED - entries.keys()
     if missing:
         raise ConfigError(f"[layer] section is missing {sorted(missing)}", lineno)
     try:
-        return MaterialLayer(**entries)  # type: ignore[arg-type]
+        layers[lineno] = MaterialLayer(**entries)  # type: ignore[arg-type]
     except ValueError as exc:
         raise ConfigError(str(exc), lineno) from None
+
+
+def _failing_layer(layers: dict[int, MaterialLayer]) -> int | None:
+    """Line of the first ``[layer]`` that makes no valid plate on its own."""
+    for lineno, layer in layers.items():
+        try:
+            CompositePlate.from_layers([layer])
+        except ValueError:
+            return lineno
+    return None
 
 
 def parse_device_config(text: str) -> DeviceConfig:
     """Parse and validate a device configuration."""
     sections: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
-    layers: list[MaterialLayer] = []
+    layers: dict[int, MaterialLayer] = {}  # by the line of their [layer]
     section: str | None = None
     section_lineno = 0
     entries: dict[str, object] = {}
@@ -118,7 +128,7 @@ def parse_device_config(text: str) -> DeviceConfig:
                 raise ConfigError(f"unknown section [{name}]", lineno)
             # A layer is built, and its errors reported, when it closes.
             if section == "layer":
-                layers.append(_build_layer(entries, len(layers) + 1, section_lineno))
+                _add_layer(layers, entries, section_lineno)
             section, section_lineno = name, lineno
             entries = {} if name == "layer" else sections[name]
             continue
@@ -145,7 +155,7 @@ def parse_device_config(text: str) -> DeviceConfig:
                 f"malformed {number} {value!r} for key {key!r}", lineno
             ) from None
     if section == "layer":
-        layers.append(_build_layer(entries, len(layers) + 1, section_lineno))
+        _add_layer(layers, entries, section_lineno)
 
     geometry, com = sections["geometry"], sections["com"]
     if "wavelength" not in geometry:
@@ -175,15 +185,15 @@ def parse_device_config(text: str) -> DeviceConfig:
     overrides = sections["override"]
     try:
         if layers:  # validate the effective plate eagerly, overrides applied
-            CompositePlate.from_layers(layers, overrides)
+            CompositePlate.from_layers(layers.values(), overrides)
     except ValueError as exc:
-        # The message names the parameter; a pinned one has a line.
+        # The line of a pinned parameter the message names, else of a bad layer.
         named = [key for key in overrides if key in str(exc)]
-        lineno = key_lines["override", named[0]] if named else None
+        lineno = key_lines["override", named[0]] if named else _failing_layer(layers)
         raise ConfigError(str(exc), lineno) from None
 
     return DeviceConfig(
-        layers=tuple(layers),
+        layers=tuple(layers.values()),
         geometry=device_geometry,
         com_velocity=com_velocity,
         com_settings=com,

@@ -113,13 +113,6 @@ def evanescent_decay_length(wavelength: float) -> float:
     return wavelength / (2.0 * math.pi)
 
 
-def resonant_frequency(phase_velocity: float, wavelength: float) -> float:
-    """Operating frequency v_p / wavelength (Hz)."""
-    if phase_velocity <= 0 or wavelength <= 0:
-        raise ValueError("phase velocity and wavelength must be > 0")
-    return phase_velocity / wavelength
-
-
 def _phase_velocity(
     plate: CompositePlate, wavelength: float, tension: float, rho: float, eta: float
 ) -> tuple[float, float]:

@@ -68,10 +68,6 @@ class CalibrationFit:
         """Slope converted to MHz per g/cm^3 for reporting."""
         return self.slope * 1.0e-3
 
-    def frequency_at(self, density: float) -> float:
-        """Evaluate the fitted line (Hz)."""
-        return self.slope * density + self.intercept
-
     def frequency_range(self) -> tuple[float, float]:
         """(min, max) of the fitted frequencies, found once per fit."""
         return self._frequency_range
@@ -185,15 +181,6 @@ def viscosity_coupling_report(
         density_sensing_valid=valid,
         verdict=verdict,
     )
-
-
-def tension_effect(
-    resonant_frequency: float, tension_sens: float, tension: float
-) -> float:
-    """First-order frequency shift (Hz) from in-plane tension."""
-    if not 0 <= tension < math.inf:
-        raise ValueError("tension must be >= 0")
-    return resonant_frequency * tension_sens * tension
 
 
 @dataclass(frozen=True)

@@ -69,14 +69,12 @@ def total_thickness(layers: Sequence[MaterialLayer]) -> float:
 
 def effective_young_modulus(layers: Sequence[MaterialLayer]) -> float:
     """Thickness-weighted average Young's modulus of the stack (N/m^2)."""
-    _require_layers(layers)
     h = total_thickness(layers)
     return sum(layer.young_modulus * layer.thickness for layer in layers) / h
 
 
 def effective_poisson(layers: Sequence[MaterialLayer]) -> float:
     """Thickness-weighted average Poisson ratio of the stack."""
-    _require_layers(layers)
     h = total_thickness(layers)
     return sum(layer.poisson_ratio * layer.thickness for layer in layers) / h
 
@@ -164,6 +162,12 @@ class CompositePlate:
                      "total_thickness"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
+        try:  # h**3 raises OverflowError where E'h**3 would be inf
+            rigidity = self.flexural_rigidity()
+        except OverflowError:
+            rigidity = math.inf
+        if not 0 < rigidity < math.inf:
+            raise ValueError("flexural_rigidity must be finite and > 0")
 
     @classmethod
     def from_layers(

@@ -6,16 +6,15 @@ the loading balance (instead of the quartic and quadratic closed-form
 roots), closed forms are written from scratch where one exists, and the
 resonator S21 is solved one frequency at a time through the literal 2x2
 transfer-matrix chain (instead of the closed form evaluated over the
-frequency axis). The CSV writers format one value at a time with Python's
-own ``%.9e`` (instead of the array kernel).
+frequency axis), from element matrices written here in scalar ``cmath``.
+The CSV writers format one value at a time with Python's own ``%.9e``
+(instead of the array kernel). Nothing here imports ``fpwsim``.
 """
 
 import cmath
 import math
 
 import numpy as np
-
-from fpwsim import grating_matrix, spacing_matrix
 
 
 def bisect_loaded_velocity(bending, areal_mass, tension, density, viscosity,
@@ -121,6 +120,43 @@ def idt_port(frequency, geometry, params):
         return 0.0, reflection
     magnitude = math.sqrt(max(0.0, 1.0 - abs(reflection) ** 2) / 2.0)
     return magnitude * math.copysign(1.0, lobe) * strength / abs(strength), reflection
+
+
+def spacing_matrix(frequency, length, params):
+    """Transfer matrix diag(p, 1/p), p = exp(gamma length), of a bare path,
+    with gamma = attenuation + i 2 pi f / v."""
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    gamma = params.attenuation + 2j * math.pi * frequency / params.free_velocity
+    phase = cmath.exp(gamma * length)
+    return np.array([[phase, 0.0], [0.0, 1.0 / phase]], dtype=complex)
+
+
+def grating_matrix(frequency, geometry, params):
+    """Transfer matrix of one uniform grating, from the COM solution.
+
+    In the Bragg frame the amplitudes see the traceless coupling matrix
+    A = [[i delta, -i kappa], [i kappa*, -i delta]], with distributed
+    reflectivity kappa = 2 r_s exp(i phi) / wavelength and detuning
+    delta = beta - 2 pi / wavelength - i alpha. A^2 = sigma^2 I with
+    sigma = sqrt(|kappa|^2 - delta^2), so over the grating length L the
+    solution is exp(A L) = cosh(sigma L) I + sinh(sigma L) / sigma A (the
+    ratio is L at sigma = 0), and the carrier exp(+-i 2 pi L / wavelength)
+    returns each column to the wave amplitudes.
+    """
+    length = geometry.grating_strips * geometry.wavelength / 2.0
+    bragg = 2.0 * math.pi / geometry.wavelength
+    kappa = (2.0 * params.strip_reflectivity / geometry.wavelength
+             * cmath.exp(1j * params.reflection_phase))
+    delta = (2.0 * math.pi * frequency / params.free_velocity - bragg
+             - 1j * params.attenuation)
+    sigma = cmath.sqrt(abs(kappa) ** 2 - delta * delta)
+    ch = cmath.cosh(sigma * length)
+    sh = length if sigma == 0 else cmath.sinh(sigma * length) / sigma
+    solution = np.array([[ch + 1j * delta * sh, -1j * kappa * sh],
+                         [1j * kappa.conjugate() * sh, ch - 1j * delta * sh]])
+    carrier = cmath.exp(1j * bragg * length)
+    return solution @ np.diag([carrier, 1.0 / carrier])
 
 
 def chain_elements(frequency, geometry, params):

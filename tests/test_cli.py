@@ -262,12 +262,36 @@ class TestPlateCommand:
         key = override.split()[0]
         assert captured.err.startswith(f"error: line 12: {key} must ")
 
-    def test_overflowing_layer_exits_1(self, tmp_path, capsys):
-        path = tmp_path / "thick.cfg"
-        path.write_text(MINIMAL_CONFIG.replace("1e-6", "1e200"))
-        status = main(["--config", str(path), "plate"])
-        assert status == 1
-        assert "OverflowError" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["plate", "dispersion", "s21"])
+    @pytest.mark.parametrize(
+        "replaced, thickness, line",
+        [
+            # E h overflows, h**3 overflows twice, E' h^3 is inf, h^3 is 0.
+            # Where both layers change, the first one fails on its own.
+            (["1.1e-6"], "1e300", 11),
+            (["1.1e-6"], "1e200", 11),
+            (["1.1e-6"], "1e150", 11),
+            (["1.2e-6", "1.1e-6"], "1e100", 4),
+            (["1.2e-6", "1.1e-6"], "1e-120", 4),
+        ],
+        ids=["1e300", "1e200", "1e150", "1e100", "1e-120"],
+    )
+    def test_unphysical_layer_exits_2_naming_its_line(
+        self, tmp_path, capsys, command, replaced, thickness, line
+    ):
+        text = _bundled("reference_device.cfg")
+        for value in replaced:
+            text = text.replace(f"thickness = {value}", f"thickness = {thickness}")
+        path = tmp_path / "layers.cfg"
+        path.write_text(text)
+        argv = ["--config", str(path), command]
+        if command == "s21":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {line}: ")
 
     def test_missing_config_file_exits_2(self):
         result = run(["--config", "/nonexistent.cfg", "plate"])
@@ -365,6 +389,28 @@ class TestS21Command:
         run(["s21", "--bulk", "--out", str(out1), "--points", "101"])
         run(["s21", "--bulk", "--out", str(out2), "--points", "101"])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["--bulk", "--fpw"])
+    def test_reference_device_prints_no_passivity_warning(self, tmp_path, mode):
+        result = run(["s21", mode, "--out", str(tmp_path / "x.csv")])
+        assert result.exit_status == 0
+        assert not any(l.startswith("warning:") for l in result.summary)
+
+    def test_gain_above_unity_warns_not_passive(self, tmp_path):
+        cfg = tmp_path / "strong.cfg"
+        cfg.write_text(_bundled("reference_device.cfg").replace(
+            "strip_reflectivity = 0.02", "strip_reflectivity = 0.05"
+        ))
+        out = tmp_path / "strong.csv"
+        result = run(["--config", str(cfg), "s21", "--bulk", "--out", str(out),
+                      "--points", "20001"])
+        assert result.exit_status == 0
+        peak = next(l for l in result.summary if l.startswith("peak_magnitude"))
+        assert float(peak.split(":")[1]) == pytest.approx(1.730, abs=1e-3)
+        assert result.summary[-1] == (
+            "warning: peak |S21| > 1; the transversal IDT model is not passive here"
+        )
+        assert sum(l.startswith("warning:") for l in result.summary) == 1
 
     def test_bulk_without_velocity_exits_2(self, tmp_path):
         cfg = tmp_path / "novel.cfg"

@@ -20,11 +20,9 @@ from fpwsim import (
     design_spacing,
     find_resonance,
     fpw_device_response,
-    grating_matrix,
     grating_scattering,
     loaded_velocity,
     s21_sweep,
-    spacing_matrix,
     write_sweep_csv,
 )
 from fpwsim.com_resonator import (
@@ -39,9 +37,11 @@ from oracles import (
     bragg_reflection_magnitude,
     chain_elements,
     chain_s21,
+    grating_matrix,
     lorentzian_magnitude,
     reference_csv,
     reference_sweep_csv,
+    spacing_matrix,
 )
 
 BULK_F0 = 60e6  # 2400 m/s over 40 um
@@ -60,6 +60,8 @@ class TestDesignSpacing:
 
 
 class TestSpacingMatrix:
+    """The oracle's bare-path matrix."""
+
     def test_zero_length_is_identity(self, bulk_params):
         assert np.allclose(
             spacing_matrix(BULK_F0, 0.0, bulk_params), np.eye(2)
@@ -86,6 +88,7 @@ class TestSpacingMatrix:
 
 class TestGratingMatrix:
     def test_zero_reflectivity_reduces_to_spacing(self, bulk_geometry):
+        # The oracle's grating matrix is a bare path without reflectivity.
         params = ComParameters(free_velocity=2400.0, strip_reflectivity=0.0)
         g = grating_matrix(59.1e6, bulk_geometry, params)
         d = spacing_matrix(59.1e6, bulk_geometry.grating_length, params)
@@ -143,6 +146,42 @@ class TestGratingMatrix:
 
         widths = [stopband_width(r) for r in (0.01, 0.02, 0.05)]
         assert widths[0] < widths[1] < widths[2]
+
+
+def _gratings(attenuation):
+    """(frequency, geometry, params) over the validated grating ranges, the
+    frequency within 20% of the synchronous one."""
+    return st.tuples(
+        st.floats(0.8 * BULK_F0, 1.2 * BULK_F0),
+        st.builds(DeviceGeometry, wavelength=st.just(WAVELENGTH),
+                  grating_strips=st.integers(0, 400)),
+        st.builds(ComParameters, free_velocity=st.just(2400.0),
+                  strip_reflectivity=st.floats(0.0, 0.2, exclude_max=True),
+                  reflection_phase=st.floats(-math.pi, math.pi),
+                  attenuation=attenuation),
+    )
+
+
+class TestGratingProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_gratings(st.floats(0.0, 200.0)))
+    def test_scattering_matches_com_oracle(self, case):
+        reflection, transmission = grating_scattering(*case)
+        g = grating_matrix(*case)
+        assert abs(reflection - g[1, 0] / g[0, 0]) <= 1e-12
+        assert abs(transmission - 1.0 / g[0, 0]) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_gratings(st.just(0.0)))
+    def test_lossless_grating_conserves_energy(self, case):
+        reflection, transmission = grating_scattering(*case)
+        assert abs(abs(reflection) ** 2 + abs(transmission) ** 2 - 1.0) <= 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_gratings(st.floats(0.0, 200.0)))
+    def test_lossy_grating_is_passive(self, case):
+        reflection, transmission = grating_scattering(*case)
+        assert abs(reflection) ** 2 + abs(transmission) ** 2 <= 1.0 + 1e-12
 
 
 class TestIdtMatrix:

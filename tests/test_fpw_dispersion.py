@@ -12,7 +12,6 @@ from fpwsim import (
     density_from_frequency,
     evanescent_decay_length,
     loaded_velocity,
-    resonant_frequency,
     sensitivities,
     unloaded_velocity,
 )
@@ -298,19 +297,6 @@ class TestSensitivities:
         )
         assert s_m == pytest.approx(fd_m, rel=1e-4)
         assert s_t == pytest.approx(fd_t, rel=1e-4)
-
-
-class TestResonantFrequency:
-    def test_published_operating_point(self):
-        assert resonant_frequency(235.06, WAVELENGTH) == pytest.approx(
-            PUBLISHED["unloaded_frequency"], rel=1e-3
-        )
-
-    def test_bulk_mode(self):
-        assert resonant_frequency(2400.0, WAVELENGTH) == pytest.approx(60e6)
-
-    def test_unit_inputs(self):
-        assert resonant_frequency(1.0, 1.0) == 1.0
 
 
 def _round_trip(plate, density, viscosity, tension=0.0):

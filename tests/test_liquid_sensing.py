@@ -15,7 +15,6 @@ from fpwsim import (
     load_reference_datasets,
     loaded_velocity,
     predict_frequency,
-    tension_effect,
     viscosity_coupling_report,
 )
 from fpwsim import liquid_sensing
@@ -37,8 +36,8 @@ class TestFitDensitySensitivity:
     def test_two_points_interpolate_exactly(self):
         fit = fit_density_sensitivity([(800.0, 5e6), (1200.0, 4e6)])
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert fit.frequency_at(800.0) == pytest.approx(5e6, rel=1e-12)
-        assert fit.frequency_at(1200.0) == pytest.approx(4e6, rel=1e-12)
+        assert fit.slope * 800.0 + fit.intercept == pytest.approx(5e6, rel=1e-12)
+        assert fit.slope * 1200.0 + fit.intercept == pytest.approx(4e6, rel=1e-12)
 
     def test_collinear_points_have_unit_r_squared(self):
         points = [(d, 6e6 - 900.0 * d) for d in (700.0, 1000.0, 1300.0)]
@@ -177,7 +176,8 @@ class TestInvertDensityCalibrated:
     def test_line_evaluation_round_trip(self):
         fit = fit_density_sensitivity(CALIBRATION_POINTS)
         for density in (700.0, 950.0, 1333.0):
-            value, _ = invert_density_calibrated(fit.frequency_at(density), fit)
+            frequency = fit.slope * density + fit.intercept
+            value, _ = invert_density_calibrated(frequency, fit)
             assert value == pytest.approx(density, rel=1e-12)
 
 
@@ -251,15 +251,14 @@ class TestViscosityCouplingReport:
 
 
 class TestTensionEffect:
-    def test_zero_tension_zero_shift(self):
-        assert tension_effect(5.876e6, 7.69e-5, 0.0) == 0.0
+    """First-order tension shift f0 * s_T * T, from ``tension_sensitivity``."""
 
     def test_back_solved_tension_reproduces_published_shift(self):
         f0 = 5.876e6
         s_t = tension_sensitivity(0.0, 6497.93)
         tension = 1.24e3 / (f0 * s_t)
         assert tension == pytest.approx(2.74, abs=0.01)
-        assert tension_effect(f0, s_t, tension) == pytest.approx(1.24e3, rel=1e-9)
+        assert f0 * s_t * tension == pytest.approx(1.24e3, rel=1e-9)
 
     def test_tension_shift_negligible_next_to_water_loading(self, pinned_plate):
         f_air = predict_frequency(pinned_plate, WAVELENGTH)
@@ -268,17 +267,8 @@ class TestTensionEffect:
         )
         s_t = tension_sensitivity(0.0, pinned_plate.bending_term(WAVELENGTH))
         tension = 1.24e3 / (f_air * s_t)
-        shift = tension_effect(f_air, s_t, tension)
+        shift = f_air * s_t * tension
         assert abs(shift) / abs(f_water - f_air) < 0.01
-
-    def test_negative_tension_rejected(self):
-        with pytest.raises(ValueError):
-            tension_effect(5.876e6, 7.69e-5, -1.0)
-
-    @pytest.mark.parametrize("tension", [math.nan, math.inf])
-    def test_non_finite_tension_rejected(self, tension):
-        with pytest.raises(ValueError, match="tension"):
-            tension_effect(5.876e6, 7.69e-5, tension)
 
 
 class TestReferenceDatasets:
