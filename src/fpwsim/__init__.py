@@ -1,16 +1,6 @@
 """Flexural plate wave resonator simulation and liquid density sensing."""
 
-from .plate_materials import (
-    CompositePlate,
-    MaterialLayer,
-    bending_term,
-    effective_poisson,
-    effective_young_modulus,
-    flexural_rigidity,
-    mass_per_area,
-    plate_modulus,
-    total_thickness,
-)
+from .plate_materials import CompositePlate, MaterialLayer
 from .fpw_dispersion import (
     ConvergenceError,
     LiquidLoad,

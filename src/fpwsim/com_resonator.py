@@ -180,8 +180,6 @@ class FrequencyResponse:
 
     frequencies: np.ndarray
     s21: np.ndarray
-    geometry: DeviceGeometry
-    parameters: ComParameters
     gap_indices: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -391,8 +389,6 @@ def s21_sweep(
     return FrequencyResponse(
         frequencies=frequencies,
         s21=s21,
-        geometry=geometry,
-        parameters=params,
         gap_indices=tuple(np.flatnonzero(np.isnan(s21)).tolist()),
     )
 

@@ -102,11 +102,12 @@ def _add_layer(layers: dict[int, MaterialLayer], entries: dict, lineno: int) -> 
         raise ConfigError(str(exc), lineno) from None
 
 
-def _failing_layer(layers: dict[int, MaterialLayer]) -> int | None:
-    """Line of the first ``[layer]`` that makes no valid plate on its own."""
+def _failing_layer(layers: dict[int, MaterialLayer], wavelength: float) -> int | None:
+    """Line of the first ``[layer]`` that on its own makes no valid plate,
+    or no valid bending term at ``wavelength``."""
     for lineno, layer in layers.items():
         try:
-            CompositePlate.from_layers([layer])
+            CompositePlate.from_layers([layer]).bending_term(wavelength)
         except ValueError:
             return lineno
     return None
@@ -182,14 +183,20 @@ def parse_device_config(text: str) -> DeviceConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
-    overrides = sections["override"]
-    try:
-        if layers:  # validate the effective plate eagerly, overrides applied
-            CompositePlate.from_layers(layers.values(), overrides)
+    overrides, wavelength = sections["override"], device_geometry.wavelength
+    plate = None
+    try:  # validate the plate and its bending term eagerly, overrides applied
+        if layers:
+            plate = CompositePlate.from_layers(layers.values(), overrides)
+            plate.bending_term(wavelength)
     except ValueError as exc:
-        # The line of a pinned parameter the message names, else of a bad layer.
+        # The line of a pinned parameter the message names, else of a bad
+        # layer, else of the wavelength at which a valid plate's bending fails.
         named = [key for key in overrides if key in str(exc)]
-        lineno = key_lines["override", named[0]] if named else _failing_layer(layers)
+        lineno = (key_lines["override", named[0]] if named
+                  else _failing_layer(layers, wavelength))
+        if lineno is None and plate is not None:
+            lineno = key_lines["geometry", "wavelength"]
         raise ConfigError(str(exc), lineno) from None
 
     return DeviceConfig(

@@ -55,82 +55,29 @@ class MaterialLayer:
         return self.density * self.thickness
 
 
-def _require_layers(layers: Sequence[MaterialLayer]) -> Sequence[MaterialLayer]:
-    if not layers:
-        raise ValueError("layer stack is empty")
-    return layers
-
-
-def total_thickness(layers: Sequence[MaterialLayer]) -> float:
-    """Sum of layer thicknesses (m)."""
-    _require_layers(layers)
-    return sum(layer.thickness for layer in layers)
-
-
-def effective_young_modulus(layers: Sequence[MaterialLayer]) -> float:
-    """Thickness-weighted average Young's modulus of the stack (N/m^2)."""
-    h = total_thickness(layers)
-    return sum(layer.young_modulus * layer.thickness for layer in layers) / h
-
-
-def effective_poisson(layers: Sequence[MaterialLayer]) -> float:
-    """Thickness-weighted average Poisson ratio of the stack."""
-    h = total_thickness(layers)
-    return sum(layer.poisson_ratio * layer.thickness for layer in layers) / h
-
-
-def mass_per_area(layers: Sequence[MaterialLayer]) -> float:
-    """Total areal mass density of the stack, sum of rho_i * h_i (kg/m^2)."""
-    _require_layers(layers)
-    return sum(layer.mass_per_area for layer in layers)
-
-
-def plate_modulus(young_modulus: float, poisson_ratio: float) -> float:
-    """Plane-strain plate modulus E / (1 - nu^2) (N/m^2)."""
-    if poisson_ratio >= 1:
-        raise ValueError("poisson_ratio must be < 1")
-    return young_modulus / (1.0 - poisson_ratio**2)
-
-
-def flexural_rigidity(plate_mod: float, thickness: float) -> float:
-    """Raw flexural rigidity E' h^3 / 12 of the plate (N*m)."""
-    if thickness <= 0:
-        raise ValueError("thickness must be > 0")
-    return plate_mod * thickness**3 / 12.0
-
-
-def bending_term(plate_mod: float, thickness: float, wavelength: float) -> float:
-    """Wavelength-referred bending stiffness (N/m).
-
-    This is the flexural rigidity E' h^3 / 12 multiplied by the squared
-    wavenumber (2 pi / wavelength)^2, i.e. the stiffness that enters the
-    flexural wave velocity together with the mass per unit area.
-
-    Parameters
-    ----------
-    plate_mod : plate modulus E / (1 - nu^2) (N/m^2)
-    thickness : total plate thickness (m)
-    wavelength : acoustic wavelength (m)
-    """
-    if thickness <= 0 or wavelength <= 0:
-        raise ValueError("thickness and wavelength must be > 0")
-    k = 2.0 * math.pi / wavelength
-    return flexural_rigidity(plate_mod, thickness) * k**2
-
-
 def _effective(
     stack: Sequence[MaterialLayer], overrides: Mapping[str, float]
 ) -> dict[str, float]:
-    """The five effective parameters of ``stack``; pinned values win, and a
-    pinned E or nu feeds the derived plate modulus E / (1 - nu^2)."""
-    e_eff = overrides.get("young_modulus", effective_young_modulus(stack))
-    nu_eff = overrides.get("poisson_ratio", effective_poisson(stack))
+    """The five effective parameters of ``stack``: thickness-weighted E and
+    nu, the plate modulus E / (1 - nu^2), the summed thickness and areal
+    mass. Pinned values win, and a pinned E or nu feeds E / (1 - nu^2)."""
+    if not stack:
+        raise ValueError("layer stack is empty")
+    h = sum(layer.thickness for layer in stack)
+    e_eff = sum(l.young_modulus * l.thickness for l in stack) / h
+    nu_eff = sum(l.poisson_ratio * l.thickness for l in stack) / h
+    e_eff = overrides.get("young_modulus", e_eff)
+    nu_eff = overrides.get("poisson_ratio", nu_eff)
+    if not 0 <= nu_eff < 0.5:  # before 1 - nu^2 can divide by 0 or overflow
+        raise ValueError("poisson_ratio must lie in [0, 0.5)")
     return {
-        "total_thickness": overrides.get("total_thickness", total_thickness(stack)),
+        "total_thickness": overrides.get("total_thickness", h),
         "young_modulus": e_eff,
         "poisson_ratio": nu_eff,
-        "plate_modulus": overrides.get("plate_modulus", plate_modulus(e_eff, nu_eff)),
-        "mass_per_area": overrides.get("mass_per_area", mass_per_area(stack)),
+        "plate_modulus": overrides.get("plate_modulus", e_eff / (1.0 - nu_eff**2)),
+        "mass_per_area": overrides.get(
+            "mass_per_area", sum(layer.mass_per_area for layer in stack)
+        ),
     }
 
 
@@ -189,10 +136,24 @@ class CompositePlate:
         """Stack-derived effective parameters, ignoring any overrides."""
         return _effective(self.layers, {})
 
-    def bending_term(self, wavelength: float) -> float:
-        """Bending stiffness (N/m) of this plate at the given wavelength."""
-        return bending_term(self.plate_modulus, self.total_thickness, wavelength)
-
     def flexural_rigidity(self) -> float:
-        """Raw flexural rigidity E' h^3 / 12 (N*m), for diagnostics."""
-        return flexural_rigidity(self.plate_modulus, self.total_thickness)
+        """Raw flexural rigidity E' h^3 / 12 (N*m)."""
+        return self.plate_modulus * self.total_thickness**3 / 12.0
+
+    def bending_term(self, wavelength: float) -> float:
+        """Wavelength-referred bending stiffness (N/m).
+
+        The flexural rigidity E' h^3 / 12 times the squared wavenumber
+        (2 pi / wavelength)^2: the stiffness that enters the flexural wave
+        velocity together with the mass per unit area. A wavelength at
+        which it is not finite and > 0 is refused with a ValueError.
+        """
+        if not wavelength > 0:
+            raise ValueError("wavelength must be > 0")
+        try:  # k**2 raises OverflowError where the product would be inf
+            term = self.flexural_rigidity() * (2.0 * math.pi / wavelength) ** 2
+        except OverflowError:
+            term = math.inf
+        if not 0 < term < math.inf:
+            raise ValueError("bending_term must be finite and > 0")
+        return term

@@ -273,8 +273,15 @@ class TestPlateCommand:
             (["1.1e-6"], "1e150", 11),
             (["1.2e-6", "1.1e-6"], "1e100", 4),
             (["1.2e-6", "1.1e-6"], "1e-120", 4),
+            # E' h^3 / 12 is finite but its bending term at the configured
+            # wavelength is inf: for the first layer on its own, else only
+            # for the stack, which names the wavelength.
+            (["1.2e-6"], "1e97", 4),
+            (["1.2e-6"], "1e98", 4),
+            (["1.2e-6", "1.1e-6"], "5e95", 19),
         ],
-        ids=["1e300", "1e200", "1e150", "1e100", "1e-120"],
+        ids=["1e300", "1e200", "1e150", "1e100", "1e-120", "bending-1e97",
+             "bending-1e98", "bending-stack-5e95"],
     )
     def test_unphysical_layer_exits_2_naming_its_line(
         self, tmp_path, capsys, command, replaced, thickness, line

@@ -399,6 +399,18 @@ class TestS21Sweep:
             response = s21_sweep(geometry, params, points=101)
             assert np.nanmax(np.abs(response.s21)) <= 1.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the transversal IDT is not passive inside the envelope above "
+        "(peak |S21| 1.0325 here); a P-matrix IDT, ROADMAP item 2, fixes it",
+    )
+    def test_passivity_at_envelope_transduction(self, bulk_geometry, bulk_params):
+        # The bundled geometry (N |r_s| = 0.8) at the envelope's largest
+        # transduction; the seeded draws of the test above miss this point.
+        params = replace(bulk_params, transduction_strength=0.6)
+        response = s21_sweep(bulk_geometry, params, points=101)
+        assert np.nanmax(np.abs(response.s21)) <= 1.0
+
     def test_reciprocity_under_port_swap(self, bulk_geometry, bulk_params):
         forward = s21_sweep(bulk_geometry, bulk_params, points=201)
         reverse = s21_sweep(bulk_geometry, bulk_params, points=201, drive_port=2)
@@ -417,34 +429,27 @@ class TestS21Sweep:
             with pytest.raises(NoResonanceError, match="no finite points"):
                 find_resonance(response)
 
-    def test_strictly_increasing_frequencies_enforced(
-        self, bulk_geometry, bulk_params
-    ):
+    def test_strictly_increasing_frequencies_enforced(self):
         with pytest.raises(ValueError):
             FrequencyResponse(
                 frequencies=np.array([1.0, 1.0, 2.0]),
                 s21=np.zeros(3, dtype=complex),
-                geometry=bulk_geometry,
-                parameters=bulk_params,
             )
 
 
 class TestFindResonance:
-    def _response(self, freqs, mags, bulk_geometry, bulk_params):
+    @staticmethod
+    def _response(freqs, mags):
         return FrequencyResponse(
             frequencies=np.asarray(freqs, dtype=float),
             s21=np.asarray(mags, dtype=complex),
-            geometry=bulk_geometry,
-            parameters=bulk_params,
         )
 
-    def test_recovers_synthetic_lorentzian(self, bulk_geometry, bulk_params):
+    def test_recovers_synthetic_lorentzian(self):
         freqs = np.linspace(59e6, 61e6, 801)
         center, half_width = 60.1e6, 50e3
         mags = lorentzian_magnitude(freqs, center, half_width)
-        summary = find_resonance(
-            self._response(freqs, mags, bulk_geometry, bulk_params)
-        )
+        summary = find_resonance(self._response(freqs, mags))
         grid_step = freqs[1] - freqs[0]
         assert abs(summary.peak_frequency - center) <= grid_step
         assert summary.bandwidth_3db == pytest.approx(2 * half_width, rel=0.02)
@@ -452,18 +457,16 @@ class TestFindResonance:
             summary.peak_frequency / summary.bandwidth_3db, rel=1e-12
         )
 
-    def test_monotone_response_rejected(self, bulk_geometry, bulk_params):
+    def test_monotone_response_rejected(self):
         freqs = np.linspace(59e6, 61e6, 101)
         mags = np.linspace(0.1, 0.9, 101)
         with pytest.raises(NoResonanceError):
-            find_resonance(self._response(freqs, mags, bulk_geometry, bulk_params))
+            find_resonance(self._response(freqs, mags))
 
-    def test_flat_response_rejected(self, bulk_geometry, bulk_params):
+    def test_flat_response_rejected(self):
         freqs = np.linspace(59e6, 61e6, 101)
         with pytest.raises(NoResonanceError):
-            find_resonance(
-                self._response(freqs, np.full(101, 0.5), bulk_geometry, bulk_params)
-            )
+            find_resonance(self._response(freqs, np.full(101, 0.5)))
 
 
     def test_gap_at_crossing_is_skipped(self, bulk_geometry, bulk_params):

@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from fpwsim import (
-    CompositePlate,
-    MaterialLayer,
-    bending_term,
-    effective_poisson,
-    effective_young_modulus,
-    flexural_rigidity,
-    mass_per_area,
-    plate_modulus,
-    total_thickness,
-)
+from fpwsim import CompositePlate, MaterialLayer
 from fpwsim.plate_materials import OVERRIDABLE_PARAMETERS
 from conftest import PUBLISHED, WAVELENGTH
+
+LAYER = MaterialLayer("x", 1e-6, 1e11, 0.3, 2000.0)
+
+
+def pinned(**pins):
+    """A one-layer plate with the given effective parameters pinned."""
+    return CompositePlate.from_layers([LAYER], pins)
 
 
 def random_stack(rng, layer_count):
@@ -32,42 +29,37 @@ def random_stack(rng, layer_count):
 
 
 class TestEffectiveYoungModulus:
-    def test_reference_stack(self, reference_layers):
-        value = effective_young_modulus(reference_layers)
-        assert value == pytest.approx(PUBLISHED["young_modulus"], rel=5e-3)
+    def test_reference_stack(self, plate):
+        assert plate.young_modulus == pytest.approx(
+            PUBLISHED["young_modulus"], rel=5e-3
+        )
 
     def test_single_layer_identity(self):
         layer = MaterialLayer("x", 1e-6, 1.23e11, 0.3, 2000.0)
-        assert effective_young_modulus([layer]) == 1.23e11
+        assert CompositePlate.from_layers([layer]).young_modulus == 1.23e11
 
     def test_equal_thickness_symmetry(self):
         a = MaterialLayer("a", 1e-6, 1e11, 0.3, 2000.0)
         b = MaterialLayer("b", 1e-6, 3e11, 0.3, 2000.0)
-        assert effective_young_modulus([a, b]) == pytest.approx(2e11, rel=1e-12)
-
-    def test_empty_stack_rejected(self):
-        with pytest.raises(ValueError):
-            effective_young_modulus([])
+        plate = CompositePlate.from_layers([a, b])
+        assert plate.young_modulus == pytest.approx(2e11, rel=1e-12)
 
 
 class TestEffectivePoisson:
-    def test_reference_stack(self, reference_layers):
-        assert effective_poisson(reference_layers) == pytest.approx(
+    def test_reference_stack(self, plate):
+        assert plate.poisson_ratio == pytest.approx(
             PUBLISHED["poisson_ratio"], rel=5e-3
         )
 
     def test_single_layer_identity(self):
         layer = MaterialLayer("x", 1e-6, 1e11, 0.31, 2000.0)
-        assert effective_poisson([layer]) == 0.31
+        assert CompositePlate.from_layers([layer]).poisson_ratio == 0.31
 
     def test_equal_thickness_symmetry(self):
         a = MaterialLayer("a", 1e-6, 1e11, 0.2, 2000.0)
         b = MaterialLayer("b", 1e-6, 1e11, 0.3, 2000.0)
-        assert effective_poisson([a, b]) == pytest.approx(0.25, rel=1e-12)
-
-    def test_empty_stack_rejected(self):
-        with pytest.raises(ValueError):
-            effective_poisson([])
+        plate = CompositePlate.from_layers([a, b])
+        assert plate.poisson_ratio == pytest.approx(0.25, rel=1e-12)
 
 
 class TestMassPerArea:
@@ -77,75 +69,95 @@ class TestMassPerArea:
     def test_piezo_layer(self, reference_layers):
         assert reference_layers[1].mass_per_area == pytest.approx(0.00836)
 
-    def test_full_stack(self, reference_layers):
+    def test_full_stack(self, plate):
         # Hand sum of the two layer contributions.
-        assert mass_per_area(reference_layers) == pytest.approx(0.01208)
+        assert plate.mass_per_area == pytest.approx(0.01208)
 
     def test_additive_over_concatenation(self):
         rng = np.random.default_rng(42)
+        mass = lambda stack: CompositePlate.from_layers(stack).mass_per_area
         for _ in range(20):
             a = random_stack(rng, int(rng.integers(1, 4)))
             b = random_stack(rng, int(rng.integers(1, 4)))
-            assert mass_per_area(a + b) == pytest.approx(
-                mass_per_area(a) + mass_per_area(b), rel=1e-12, abs=0.0
+            assert mass(a + b) == pytest.approx(
+                mass(a) + mass(b), rel=1e-12, abs=0.0
             )
-
-    def test_empty_stack_rejected(self):
-        with pytest.raises(ValueError):
-            mass_per_area([])
 
 
 class TestPlateModulus:
     def test_reference_values(self):
-        assert plate_modulus(2.42e11, 0.26) == pytest.approx(
+        plate = pinned(young_modulus=2.42e11, poisson_ratio=0.26)
+        assert plate.plate_modulus == pytest.approx(
             PUBLISHED["plate_modulus"], rel=5e-3
         )
 
     def test_zero_poisson_is_identity(self):
-        assert plate_modulus(3.1e10, 0.0) == 3.1e10
+        plate = pinned(young_modulus=3.1e10, poisson_ratio=0.0)
+        assert plate.plate_modulus == 3.1e10
 
     def test_direct_evaluation(self):
-        assert plate_modulus(1.0, 0.5) == pytest.approx(4.0 / 3.0, rel=1e-12)
+        plate = pinned(young_modulus=1.0, poisson_ratio=0.25)
+        assert plate.plate_modulus == pytest.approx(16.0 / 15.0, rel=1e-12)
 
     def test_poisson_of_one_rejected(self):
-        with pytest.raises(ValueError):
-            plate_modulus(1e11, 1.0)
+        with pytest.raises(ValueError, match="poisson_ratio"):
+            pinned(poisson_ratio=1.0)
 
 
 class TestBendingTerm:
     def test_reference_value(self):
-        value = bending_term(2.596e11, 2.3e-6, WAVELENGTH)
-        assert value == pytest.approx(PUBLISHED["bending_term"], rel=3e-3)
+        plate = pinned(plate_modulus=2.596e11, total_thickness=2.3e-6)
+        assert plate.bending_term(WAVELENGTH) == pytest.approx(
+            PUBLISHED["bending_term"], rel=3e-3
+        )
 
     def test_wavelength_scaling(self):
-        base = bending_term(2.6e11, 2.3e-6, WAVELENGTH)
-        assert bending_term(2.6e11, 2.3e-6, 2 * WAVELENGTH) == pytest.approx(
-            base / 4.0, rel=1e-12
+        plate = pinned(plate_modulus=2.6e11, total_thickness=2.3e-6)
+        assert plate.bending_term(2 * WAVELENGTH) == pytest.approx(
+            plate.bending_term(WAVELENGTH) / 4.0, rel=1e-12
         )
 
     def test_thickness_scaling(self):
-        base = bending_term(2.6e11, 2.3e-6, WAVELENGTH)
-        assert bending_term(2.6e11, 4.6e-6, WAVELENGTH) == pytest.approx(
-            8.0 * base, rel=1e-12
+        base = pinned(plate_modulus=2.6e11, total_thickness=2.3e-6)
+        thick = pinned(plate_modulus=2.6e11, total_thickness=4.6e-6)
+        assert thick.bending_term(WAVELENGTH) == pytest.approx(
+            8.0 * base.bending_term(WAVELENGTH), rel=1e-12
         )
 
     def test_modulus_homogeneity(self):
-        base = bending_term(1e11, 2e-6, WAVELENGTH)
-        assert bending_term(3e11, 2e-6, WAVELENGTH) == pytest.approx(
-            3.0 * base, rel=1e-12
+        base = pinned(plate_modulus=1e11, total_thickness=2e-6)
+        stiff = pinned(plate_modulus=3e11, total_thickness=2e-6)
+        assert stiff.bending_term(WAVELENGTH) == pytest.approx(
+            3.0 * base.bending_term(WAVELENGTH), rel=1e-12
         )
 
     def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            bending_term(1e11, 0.0, WAVELENGTH)
-        with pytest.raises(ValueError):
-            bending_term(1e11, 1e-6, -1.0)
+        with pytest.raises(ValueError, match="total_thickness"):
+            pinned(plate_modulus=1e11, total_thickness=0.0)
+        for wavelength in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="wavelength"):
+                pinned(plate_modulus=1e11).bending_term(wavelength)
+
+    @pytest.mark.parametrize(
+        "thickness, wavelength",
+        # E' h^3 k^2 overflows, k**2 overflows, k**2 underflows to 0.
+        [(1e97, WAVELENGTH), (1e-6, 1e-200), (1e-6, 1e200)],
+        ids=["rigidity-times-k2", "k2-overflow", "k2-underflow"],
+    )
+    def test_non_finite_or_zero_result_rejected(self, thickness, wavelength):
+        plate = pinned(plate_modulus=1e11, total_thickness=thickness)
+        with pytest.raises(ValueError, match="bending_term must be finite"):
+            plate.bending_term(wavelength)
 
     def test_matches_rigidity_times_wavenumber(self):
-        rigidity = flexural_rigidity(2.6e11, 2.3e-6)
+        plate = pinned(plate_modulus=2.6e11, total_thickness=2.3e-6)
+        rigidity = 2.6e11 * 2.3e-6**3 / 12
         k = 2 * math.pi / WAVELENGTH
-        assert bending_term(2.6e11, 2.3e-6, WAVELENGTH) == pytest.approx(
-            rigidity * k**2, rel=1e-14
+        assert plate.flexural_rigidity() == pytest.approx(
+            rigidity, rel=1e-15, abs=0.0
+        )
+        assert plate.bending_term(WAVELENGTH) == pytest.approx(
+            rigidity * k**2, rel=1e-14, abs=0.0
         )
 
 
@@ -156,16 +168,16 @@ class TestBracketingProperties:
             stack = random_stack(rng, int(rng.integers(1, 6)))
             e_values = [l.young_modulus for l in stack]
             nu_values = [l.poisson_ratio for l in stack]
-            e_eff = effective_young_modulus(stack)
-            nu_eff = effective_poisson(stack)
-            assert min(e_values) <= e_eff <= max(e_values)
-            assert min(nu_values) <= nu_eff <= max(nu_values)
+            plate = CompositePlate.from_layers(stack)
+            assert min(e_values) <= plate.young_modulus <= max(e_values)
+            assert min(nu_values) <= plate.poisson_ratio <= max(nu_values)
 
 
 class TestCompositePlate:
     def test_thickness_is_layer_sum(self, plate, reference_layers):
         assert plate.total_thickness == pytest.approx(
-            total_thickness(reference_layers), rel=1e-15, abs=0.0
+            math.fsum(layer.thickness for layer in reference_layers),
+            rel=1e-15, abs=0.0,
         )
 
     def test_override_pins_value_and_keeps_computed(self, reference_layers):
@@ -175,11 +187,11 @@ class TestCompositePlate:
         assert pinned.mass_per_area == 0.1176
         assert pinned.computed()["mass_per_area"] == pytest.approx(0.01208)
 
-    def test_override_propagates_into_plate_modulus(self, reference_layers):
+    def test_override_propagates_into_plate_modulus(self, plate, reference_layers):
         pinned = CompositePlate.from_layers(
             reference_layers, {"young_modulus": 2.0e11}
         )
-        nu = effective_poisson(reference_layers)
+        nu = plate.poisson_ratio
         assert pinned.plate_modulus == pytest.approx(2.0e11 / (1 - nu**2))
 
     def test_unknown_override_rejected(self, reference_layers):
@@ -202,6 +214,7 @@ class TestCompositePlate:
             {"poisson_ratio": 2.0},
             {"poisson_ratio": 0.7, "plate_modulus": 3e11},
             {"poisson_ratio": -0.5},
+            {"poisson_ratio": -1e200},  # 1 - nu^2 would overflow
             {"poisson_ratio": math.nan},
         ],
     )
@@ -217,11 +230,12 @@ class TestCompositePlate:
             name: getattr(plate, name) for name in OVERRIDABLE_PARAMETERS
         }
 
-    def test_bending_term_uses_effective_parameters(self, plate):
-        expected = bending_term(
-            plate.plate_modulus, plate.total_thickness, WAVELENGTH
+    def test_bending_term_uses_effective_parameters(self, reference_layers):
+        plate = CompositePlate.from_layers(
+            reference_layers, {"plate_modulus": 2.0e11, "total_thickness": 3e-6}
         )
-        assert plate.bending_term(WAVELENGTH) == expected
+        expected = pinned(plate_modulus=2.0e11, total_thickness=3e-6)
+        assert plate.bending_term(WAVELENGTH) == expected.bending_term(WAVELENGTH)
 
 
 class TestMaterialLayerValidation:
