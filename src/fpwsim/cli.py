@@ -120,31 +120,19 @@ def _loading(args, liquid: LiquidSample | None) -> LoadingState:
         raise UsageError(f"--tension {args.tension}: {exc}") from None
 
 
-def _value_line(label: str, value: float, config_overrides, key=None) -> str:
-    text = f"{label}: {_NUM % value}"
-    if key is not None and key in config_overrides:
-        text += f" (override; computed {_NUM % config_overrides[key]})"
-    return text
-
-
 def _cmd_plate(args) -> RunResult:
     cfg = _load_config(args)
     plate = cfg.plate()
     computed = plate.computed()
-    shown = {k: computed[k] for k in plate.overrides}
     wavelength = cfg.geometry.wavelength
-    lines = [
-        f"layers: {len(plate.layers)}",
-        _value_line("total_thickness_m", plate.total_thickness, shown,
-                    "total_thickness"),
-        _value_line("young_modulus_n_m2", plate.young_modulus, shown,
-                    "young_modulus"),
-        _value_line("poisson_ratio", plate.poisson_ratio, shown,
-                    "poisson_ratio"),
-        _value_line("plate_modulus_n_m2", plate.plate_modulus, shown,
-                    "plate_modulus"),
-        _value_line("mass_per_area_kg_m2", plate.mass_per_area, shown,
-                    "mass_per_area"),
+    lines = [f"layers: {len(plate.layers)}"]
+    for key, unit in (("total_thickness", "_m"), ("young_modulus", "_n_m2"),
+                      ("poisson_ratio", ""), ("plate_modulus", "_n_m2"),
+                      ("mass_per_area", "_kg_m2")):
+        lines.append(f"{key}{unit}: {_NUM % getattr(plate, key)}")
+        if key in plate.overrides:
+            lines[-1] += f" (override; computed {_NUM % computed[key]})"
+    lines += [
         f"flexural_rigidity_n_m: {_NUM % plate.flexural_rigidity()}",
         f"bending_term_n_m: {_NUM % plate.bending_term(wavelength)}"
         f" (wavelength_m {_NUM % wavelength})",

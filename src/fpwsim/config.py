@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Iterator, get_type_hints
+from typing import Callable, Iterable, Iterator, get_type_hints
 
 from .com_resonator import ComParameters, DeviceGeometry, design_spacing
 from .plate_materials import OVERRIDABLE_PARAMETERS, CompositePlate, MaterialLayer
@@ -102,15 +102,13 @@ def _add_layer(layers: dict[int, MaterialLayer], entries: dict, lineno: int) -> 
         raise ConfigError(str(exc), lineno) from None
 
 
-def _failing_layer(layers: dict[int, MaterialLayer], wavelength: float) -> int | None:
-    """Line of the first ``[layer]`` that on its own makes no valid plate,
-    or no valid bending term at ``wavelength``."""
-    for lineno, layer in layers.items():
-        try:
-            CompositePlate.from_layers([layer]).bending_term(wavelength)
-        except ValueError:
-            return lineno
-    return None
+def _fails(layers: Iterable[MaterialLayer], overrides: dict, wavelength: float) -> bool:
+    """Whether the stack makes no valid plate or bending term at wavelength."""
+    try:
+        CompositePlate.from_layers(layers, overrides).bending_term(wavelength)
+    except ValueError:
+        return True
+    return False
 
 
 def parse_device_config(text: str) -> DeviceConfig:
@@ -190,14 +188,18 @@ def parse_device_config(text: str) -> DeviceConfig:
             plate = CompositePlate.from_layers(layers.values(), overrides)
             plate.bending_term(wavelength)
     except ValueError as exc:
-        # The line of a pinned parameter the message names, else of a bad
-        # layer, else of the wavelength at which a valid plate's bending fails.
-        named = [key for key in overrides if key in str(exc)]
-        lineno = (key_lines["override", named[0]] if named
-                  else _failing_layer(layers, wavelength))
-        if lineno is None and plate is not None:
-            lineno = key_lines["geometry", "wavelength"]
-        raise ConfigError(str(exc), lineno) from None
+        # The line of a pinned key the message names, else of a layer that
+        # fails alone. Else the first pinned key (in line order) that alone
+        # fails a stack that passes unpinned, or else the wavelength.
+        stack = layers.values()
+        lines = [key_lines["override", key] for key in overrides if key in str(exc)]
+        lines += [n for n, one in layers.items() if _fails([one], {}, wavelength)]
+        if not lines and not _fails(stack, {}, wavelength):
+            lines = [key_lines["override", key] for key, value in overrides.items()
+                     if _fails(stack, {key: value}, wavelength)]
+        elif not lines and plate is not None:
+            lines = [key_lines["geometry", "wavelength"]]
+        raise ConfigError(str(exc), lines[0] if lines else None) from None
 
     return DeviceConfig(
         layers=tuple(layers.values()),

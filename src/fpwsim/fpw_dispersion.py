@@ -24,7 +24,7 @@ water-like 1482 m/s as a warning indicator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 from .plate_materials import CompositePlate
@@ -80,23 +80,55 @@ class LoadingState:
 class VelocitySolution:
     """Closed-form loading solution.
 
-    phase_velocity in m/s, resonant_frequency in Hz, lengths in m,
-    viscous_mass in kg/m^2. ``sound_speed_ratio`` is phase velocity over
-    the water sound speed (small means the decay-length approximation is
-    safe). ``warnings`` collects non-fatal precondition violations. Every
-    solve is closed form, so ``iterations`` (0) and ``converged`` (True) are
-    class constants, not stored per solution.
+    Stores what the solve produced, phase_velocity (m/s) and viscous_mass
+    (kg/m^2), and the wavelength (m) and liquid (None when dry) the rest is
+    derived from on read: resonant_frequency (Hz), evanescent_length and
+    viscous_length (m), sound_speed_ratio (v_p over the water sound speed;
+    small means the decay-length approximation is safe) and the non-fatal
+    precondition ``warnings``. ``iterations`` (0) and ``converged`` (True)
+    are class constants: every solve is closed form.
     """
 
     phase_velocity: float
-    resonant_frequency: float
-    evanescent_length: float
-    viscous_length: float
     viscous_mass: float
-    sound_speed_ratio: float
-    warnings: tuple[str, ...] = field(default_factory=tuple)
+    wavelength: float
+    liquid: LiquidLoad | None
     iterations: ClassVar[int] = 0
     converged: ClassVar[bool] = True
+
+    @property
+    def resonant_frequency(self) -> float:
+        return self.phase_velocity / self.wavelength
+
+    @property
+    def evanescent_length(self) -> float:
+        return evanescent_decay_length(self.wavelength)
+
+    @property
+    def viscous_length(self) -> float:
+        liquid = self.liquid  # delta_v = 2 M_eta / rho_F
+        viscous = liquid is not None and liquid.viscosity
+        return 2.0 * self.viscous_mass / liquid.density if viscous else 0.0
+
+    @property
+    def sound_speed_ratio(self) -> float:
+        return self.phase_velocity / WATER_SOUND_SPEED
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        liquid = self.liquid
+        if liquid is None:
+            return ()
+        warnings = [] if liquid.covers_decay_length else [
+            "liquid level below the evanescent decay length; entrained mass "
+            "is overestimated and the density reading is unreliable"
+        ]
+        if (ratio := self.sound_speed_ratio) > 0.3:
+            warnings.append(
+                f"phase velocity is {ratio:.2f} of the liquid sound speed; the "
+                "evanescent decay-length approximation degrades"
+            )
+        return tuple(warnings)
 
 
 def unloaded_velocity(bending: float, areal_mass: float) -> float:
@@ -147,34 +179,13 @@ def loaded_velocity(
 
     Closed form: sqrt((T + B) / (M + rho_F delta_E)) with no liquid or an
     inviscid one, else the positive root of the quartic in v^(-1/2) from
-    Ferrari's resolvent cubic. The viscous mass is the one at that root, and
-    delta_v = 2 M_eta / rho_F.
+    Ferrari's resolvent cubic. The record keeps that velocity, the viscous
+    mass at the root, the wavelength and the liquid, and derives the rest.
     """
     liquid = loading.liquid
     rho, eta = (0.0, 0.0) if liquid is None else (liquid.density, liquid.viscosity)
     v, m_eta = _phase_velocity(plate, wavelength, loading.tension, rho, eta)
-
-    warnings: list[str] = []
-    if liquid is not None and not liquid.covers_decay_length:
-        warnings.append(
-            "liquid level below the evanescent decay length; entrained mass "
-            "is overestimated and the density reading is unreliable"
-        )
-    ratio = v / WATER_SOUND_SPEED
-    if liquid is not None and ratio > 0.3:
-        warnings.append(
-            f"phase velocity is {ratio:.2f} of the liquid sound speed; the "
-            "evanescent decay-length approximation degrades"
-        )
-    return VelocitySolution(
-        phase_velocity=v,
-        resonant_frequency=v / wavelength,
-        evanescent_length=evanescent_decay_length(wavelength),
-        viscous_length=2.0 * m_eta / rho if eta else 0.0,
-        viscous_mass=m_eta,
-        sound_speed_ratio=ratio,
-        warnings=tuple(warnings),
-    )
+    return VelocitySolution(v, m_eta, wavelength, liquid)
 
 
 def mass_sensitivity(areal_mass: float, liquid_density: float, delta_e: float) -> float:

@@ -82,16 +82,27 @@ class CalibrationFit:
 class CouplingReport:
     """Relative weight of viscous vs density-entrained liquid mass.
 
-    viscous_mass and entrained_mass in kg/m^2 at the loaded operating point;
-    ``ratio`` is the viscous share of their sum, and density sensing is
-    valid while it stays at or below COUPLING_THRESHOLD.
+    Stored: viscous_mass and entrained_mass in kg/m^2 at the loaded
+    operating point. Derived on read: ``ratio``, the viscous share of their
+    sum; ``density_sensing_valid``, whether it stays at or below
+    COUPLING_THRESHOLD; and the ``verdict`` text.
     """
 
     viscous_mass: float
     entrained_mass: float
-    ratio: float
-    density_sensing_valid: bool
-    verdict: str
+
+    @property
+    def ratio(self) -> float:
+        return self.viscous_mass / (self.viscous_mass + self.entrained_mass)
+
+    @property
+    def density_sensing_valid(self) -> bool:
+        return self.ratio <= COUPLING_THRESHOLD
+
+    @property
+    def verdict(self) -> str:
+        return ("density sensing valid" if self.density_sensing_valid
+                else "coupled; density not invertible from frequency alone")
 
 
 def fit_density_sensitivity(
@@ -158,28 +169,15 @@ def viscosity_coupling_report(
 ) -> CouplingReport:
     """Judge whether a frequency reading identifies density for this liquid.
 
-    Solves the loaded operating point once, with ``loaded_velocity``, then
-    compares the viscous mass against the total added liquid mass. Above
-    COUPLING_THRESHOLD the density and viscosity contributions are
+    Solves the loaded operating point once, with ``loaded_velocity``, and
+    keeps the viscous and entrained masses; the report weighs them on read.
+    Above COUPLING_THRESHOLD the density and viscosity contributions are
     entangled and a frequency shift alone cannot be attributed to density.
     """
     load = LoadingState(0.0, LiquidLoad(liquid.density, liquid.viscosity))
     solution = loaded_velocity(plate, load, wavelength)
-    entrained = liquid.density * solution.evanescent_length
-    viscous = solution.viscous_mass
-    ratio = viscous / (viscous + entrained)
-    valid = ratio <= COUPLING_THRESHOLD
-    verdict = (
-        "density sensing valid"
-        if valid
-        else "coupled; density not invertible from frequency alone"
-    )
     return CouplingReport(
-        viscous_mass=viscous,
-        entrained_mass=entrained,
-        ratio=ratio,
-        density_sensing_valid=valid,
-        verdict=verdict,
+        solution.viscous_mass, liquid.density * solution.evanescent_length
     )
 
 

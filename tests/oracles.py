@@ -8,7 +8,9 @@ resonator S21 is solved one frequency at a time through the literal 2x2
 transfer-matrix chain (instead of the closed form evaluated over the
 frequency axis), from element matrices written here in scalar ``cmath``.
 The CSV writers format one value at a time with Python's own ``%.9e``
-(instead of the array kernel). Nothing here imports ``fpwsim``.
+(instead of the array kernel). The values the loading records derive on
+read are given by the formulas that computed them when the records stored
+them. Nothing here imports ``fpwsim``.
 """
 
 import cmath
@@ -83,6 +85,50 @@ def bisect_density(frequency, bending, areal_mass, tension, viscosity,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def former_solution_values(phase_velocity, viscous_mass, wavelength, liquid):
+    """The five derived values of a loaded-velocity solution, by the formulas
+    that computed them when the solution stored them. ``liquid`` is None or
+    (density, viscosity, covers_decay_length); 1482 m/s is the water sound
+    speed of the validity ratio."""
+    rho, eta = (0.0, 0.0) if liquid is None else liquid[:2]
+    warnings = []
+    if liquid is not None and not liquid[2]:
+        warnings.append(
+            "liquid level below the evanescent decay length; entrained mass "
+            "is overestimated and the density reading is unreliable"
+        )
+    ratio = phase_velocity / 1482.0
+    if liquid is not None and ratio > 0.3:
+        warnings.append(
+            f"phase velocity is {ratio:.2f} of the liquid sound speed; the "
+            "evanescent decay-length approximation degrades"
+        )
+    return {
+        "resonant_frequency": phase_velocity / wavelength,
+        "evanescent_length": wavelength / (2.0 * math.pi),
+        "viscous_length": 2.0 * viscous_mass / rho if eta else 0.0,
+        "sound_speed_ratio": ratio,
+        "warnings": tuple(warnings),
+    }
+
+
+def former_report_values(viscous_mass, density, wavelength):
+    """The coupling report's masses and its three derived values, by the
+    formulas that computed them when the report stored them (the viscous
+    share limit of density sensing is 0.05)."""
+    entrained = density * (wavelength / (2.0 * math.pi))
+    ratio = viscous_mass / (viscous_mass + entrained)
+    valid = ratio <= 0.05
+    return {
+        "viscous_mass": viscous_mass,
+        "entrained_mass": entrained,
+        "ratio": ratio,
+        "density_sensing_valid": valid,
+        "verdict": "density sensing valid" if valid
+        else "coupled; density not invertible from frequency alone",
+    }
 
 
 def bragg_reflection_magnitude(strips, strip_reflectivity):

@@ -264,6 +264,32 @@ class TestPlateCommand:
 
     @pytest.mark.parametrize("command", ["plate", "dispersion", "s21"])
     @pytest.mark.parametrize(
+        "pinned, line, message",
+        [
+            # The stack passes unpinned, so the pinned value that alone
+            # overflows a derived one is blamed, not the wavelength (line 19).
+            ("total_thickness = 1e97", 36, "bending_term"),
+            ("young_modulus = 1.7e308", 36, "plate_modulus"),
+            ("poisson_ratio = 0.3\ntotal_thickness = 1e97", 37, "bending_term"),
+        ],
+        ids=["thickness-bending", "modulus-plate-modulus", "second-pin"],
+    )
+    def test_override_overflowing_a_derived_value_names_its_line(
+        self, tmp_path, capsys, command, pinned, line, message
+    ):
+        path = tmp_path / "pinned.cfg"
+        path.write_text(_bundled("reference_device.cfg") + pinned + "\n")
+        argv = ["--config", str(path), command]
+        if command == "s21":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == f"error: line {line}: {message} must be finite and > 0\n"
+
+    @pytest.mark.parametrize("command", ["plate", "dispersion", "s21"])
+    @pytest.mark.parametrize(
         "replaced, thickness, line",
         [
             # E h overflows, h**3 overflows twice, E' h^3 is inf, h^3 is 0.

@@ -1,14 +1,20 @@
 import math
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fpwsim import (
+    CompositePlate,
+    CouplingReport,
     DegenerateFitError,
     LiquidLoad,
     LiquidSample,
     LoadingState,
+    MaterialLayer,
     PRESET_LIQUIDS,
+    VelocitySolution,
     fit_density_sensitivity,
     invert_density_calibrated,
     load_liquid_library,
@@ -20,7 +26,7 @@ from fpwsim import (
 from fpwsim import liquid_sensing
 from fpwsim.fpw_dispersion import tension_sensitivity
 from conftest import PUBLISHED, WAVELENGTH
-from oracles import bisect_loaded_velocity
+from oracles import bisect_loaded_velocity, former_report_values, former_solution_values
 
 # Published calibration set in SI units (kg/m^3, Hz).
 CALIBRATION_POINTS = ((787.0, 4.94e6), (1000.0, 4.75e6), (1200.0, 4.59e6))
@@ -248,6 +254,120 @@ class TestViscosityCouplingReport:
         )
         assert len(calls) == 1
         assert report.viscous_mass == loaded_velocity(*calls[0]).viscous_mass
+
+
+def _nitride_plate(thickness):
+    """One silicon nitride layer: at 10 um every drawn liquid sees a phase
+    velocity above 0.3 of the water sound speed, at 1.352 um water sees
+    0.3005 of it."""
+    return CompositePlate.from_layers(
+        [MaterialLayer("SiNx", thickness, 3.85e11, 0.27, 3100.0)]
+    )
+
+
+LIQUIDS = st.one_of(
+    st.none(),
+    st.builds(
+        LiquidLoad,
+        st.floats(1e-3, 2e4),
+        st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e-200)),
+        st.booleans(),
+    ),
+)
+
+
+class TestRecordsDeriveTheRest:
+    """The loading records store what the solve produced and derive the rest
+    on read, with the bits of the formulas that used to fill stored fields."""
+
+    def test_stored_fields(self):
+        assert [f.name for f in fields(VelocitySolution)] == [
+            "phase_velocity", "viscous_mass", "wavelength", "liquid"
+        ]
+        assert [f.name for f in fields(CouplingReport)] == [
+            "viscous_mass", "entrained_mass"
+        ]
+
+    @settings(
+        max_examples=500,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        liquid=LIQUIDS,
+        tension=st.floats(0.0, 100.0),
+        thickness=st.one_of(st.none(), st.floats(0.5e-6, 10e-6)),
+    )
+    @example(liquid=LiquidLoad(1000.0, 0.001, False), tension=0.0, thickness=10e-6)
+    @example(liquid=LiquidLoad(1000.0, 0.001), tension=0.0, thickness=1.352e-6)
+    @example(liquid=LiquidLoad(1e-3, 1e-300, False), tension=100.0, thickness=None)
+    @example(liquid=LiquidLoad(2e4, 0.0), tension=0.0, thickness=10e-6)
+    def test_bit_identical_to_former_stored_formulas(
+        self, pinned_plate, liquid, tension, thickness
+    ):
+        # No thickness: the pinned reference plate.
+        plate = pinned_plate if thickness is None else _nitride_plate(thickness)
+        solution = loaded_velocity(plate, LoadingState(tension, liquid), WAVELENGTH)
+        expected = former_solution_values(
+            solution.phase_velocity,
+            solution.viscous_mass,
+            WAVELENGTH,
+            None if liquid is None else
+            (liquid.density, liquid.viscosity, liquid.covers_decay_length),
+        )
+        assert {name: getattr(solution, name) for name in expected} == expected
+        if liquid is None:
+            return
+
+        report = viscosity_coupling_report(
+            LiquidSample("x", liquid.density, liquid.viscosity), plate, WAVELENGTH
+        )
+        tension_free = loaded_velocity(
+            plate,
+            LoadingState(0.0, LiquidLoad(liquid.density, liquid.viscosity)),
+            WAVELENGTH,
+        )
+        expected = former_report_values(
+            tension_free.viscous_mass, liquid.density, WAVELENGTH
+        )
+        assert {name: getattr(report, name) for name in expected} == expected
+
+    def test_records_are_immutable(self, pinned_plate):
+        solution = loaded_velocity(
+            pinned_plate, LoadingState(0.0, LiquidLoad(1000.0, 0.001)), WAVELENGTH
+        )
+        report = viscosity_coupling_report(
+            PRESET_LIQUIDS["water"], pinned_plate, WAVELENGTH
+        )
+        derived = {
+            solution: ("resonant_frequency", "evanescent_length",
+                       "viscous_length", "sound_speed_ratio", "warnings"),
+            report: ("ratio", "density_sensing_valid", "verdict"),
+        }
+        for record, names in derived.items():
+            for name in [f.name for f in fields(record)] + list(names):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(record, name, getattr(record, name))
+
+    def test_equal_inputs_give_equal_records(self, pinned_plate, reference_layers):
+        twin = CompositePlate.from_layers(
+            reference_layers, {"mass_per_area": pinned_plate.mass_per_area}
+        )
+        records = [
+            (
+                loaded_velocity(
+                    plate, LoadingState(2.74, LiquidLoad(1200.0, 0.934)), WAVELENGTH
+                ),
+                viscosity_coupling_report(
+                    LiquidSample("glycerol", 1200.0, 0.934), plate, WAVELENGTH
+                ),
+            )
+            for plate in (pinned_plate, twin)
+        ]
+        for first, second in zip(*records):
+            assert first is not second
+            assert first == second
+            assert hash(first) == hash(second)
 
 
 class TestTensionEffect:
