@@ -32,6 +32,7 @@ from .com_resonator import (
 from .config import (
     ConfigError,
     DeviceConfig,
+    finite_float,
     parse_calibration_points,
     parse_device_config,
 )
@@ -39,6 +40,7 @@ from .fpw_dispersion import (
     LiquidLoad,
     LoadingState,
     NoSolutionError,
+    _phase_velocity,
     loaded_velocity,
     sensitivities,
 )
@@ -49,7 +51,6 @@ from .liquid_sensing import (
     fit_density_sensitivity,
     invert_density_calibrated,
     load_liquid_library,
-    predict_frequency,
 )
 
 _NUM = "%.9e"
@@ -66,7 +67,6 @@ class RunResult:
     command: str
     summary: tuple[str, ...] = field(default_factory=tuple)
     errors: tuple[str, ...] = field(default_factory=tuple)
-    output_files: tuple[str, ...] = field(default_factory=tuple)
     exit_status: int = 0
 
 
@@ -147,6 +147,8 @@ def _cmd_dispersion(args) -> RunResult:
     loading = _loading(args, liquid)
     wavelength = cfg.geometry.wavelength
     solution = loaded_velocity(plate, loading, wavelength)
+    if not math.isfinite(solution.phase_velocity):
+        _refuse_non_finite(liquid.density if liquid else 0.0)
     s_m, s_t = sensitivities(plate, loading, wavelength)
     lines = [
         f"liquid: {liquid.name if liquid else 'none'}",
@@ -163,22 +165,26 @@ def _cmd_dispersion(args) -> RunResult:
     ]
     lines += [f"warning: {w}" for w in solution.warnings]
 
-    outputs: list[str] = []
     if args.sweep_out is not None:
         lo, hi, count = _parse_sweep_range(args.sweep_densities)
         eta = liquid.viscosity if liquid is not None else 0.0
         densities = np.linspace(lo, hi, count)
-        samples = (LiquidSample("sweep", rho, eta) for rho in densities.tolist())
-        frequencies = [
-            predict_frequency(plate, wavelength, s, args.tension) for s in samples
-        ]
+        with np.errstate(all="ignore"):  # a non-finite row is refused below
+            frequencies = _phase_velocity(
+                plate, wavelength, args.tension, densities, eta, np.sqrt
+            )[0] / wavelength
+        if not (finite := np.isfinite(frequencies)).all():
+            _refuse_non_finite(densities[~finite][0])
         write_csv(
             args.sweep_out, "density_kg_m3,frequency_hz", (densities, frequencies)
         )
-        outputs.append(args.sweep_out)
         lines.append(f"sweep_csv: {args.sweep_out} ({count} rows)")
-    return RunResult(
-        command="dispersion", summary=tuple(lines), output_files=tuple(outputs)
+    return RunResult(command="dispersion", summary=tuple(lines))
+
+
+def _refuse_non_finite(density: float):
+    raise FloatingPointError(
+        f"loaded velocity is not finite at liquid density {density:.6g} kg/m^3"
     )
 
 
@@ -189,7 +195,8 @@ def _parse_sweep_range(text: str) -> tuple[float, float, int]:
             f"sweep range must be 'lo:hi:count', got {text!r}"
         )
     try:
-        lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
+        lo, hi = finite_float(fields[0]), finite_float(fields[1])
+        count = int(fields[2])
     except ValueError as exc:
         raise UsageError(f"bad sweep range {text!r}: {exc}") from None
     if not (0 < lo < hi and count >= 2):
@@ -247,9 +254,7 @@ def _cmd_s21(args) -> RunResult:
     if summary.peak_magnitude > 1.0 + 1e-12:
         lines.append("warning: peak |S21| > 1; the transversal IDT model is not "
                      "passive here")
-    return RunResult(
-        command="s21", summary=tuple(lines), output_files=(args.out,)
-    )
+    return RunResult(command="s21", summary=tuple(lines))
 
 
 def _cmd_fit(args) -> RunResult:

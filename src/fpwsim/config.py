@@ -189,14 +189,14 @@ def parse_device_config(text: str) -> DeviceConfig:
             plate.bending_term(wavelength)
     except ValueError as exc:
         # The line of a pinned key the message names, else of a layer that
-        # fails alone. Else the first pinned key (in line order) that alone
-        # fails a stack that passes unpinned, or else the wavelength.
-        stack = layers.values()
+        # fails alone. Else the pinned key at which a stack that passes
+        # unpinned first fails, pinning in line order, or else the wavelength.
+        stack, pins = layers.values(), list(overrides.items())
         lines = [key_lines["override", key] for key in overrides if key in str(exc)]
         lines += [n for n, one in layers.items() if _fails([one], {}, wavelength)]
         if not lines and not _fails(stack, {}, wavelength):
-            lines = [key_lines["override", key] for key, value in overrides.items()
-                     if _fails(stack, {key: value}, wavelength)]
+            lines = [key_lines["override", key] for n, (key, _) in enumerate(pins)
+                     if _fails(stack, dict(pins[: n + 1]), wavelength)]
         elif not lines and plate is not None:
             lines = [key_lines["geometry", "wavelength"]]
         raise ConfigError(str(exc), lines[0] if lines else None) from None

@@ -84,8 +84,8 @@ class CouplingReport:
 
     Stored: viscous_mass and entrained_mass in kg/m^2 at the loaded
     operating point. Derived on read: ``ratio``, the viscous share of their
-    sum; ``density_sensing_valid``, whether it stays at or below
-    COUPLING_THRESHOLD; and the ``verdict`` text.
+    sum (0 with no viscous mass); ``density_sensing_valid``, whether it
+    stays at or below COUPLING_THRESHOLD; and the ``verdict`` text.
     """
 
     viscous_mass: float
@@ -93,7 +93,8 @@ class CouplingReport:
 
     @property
     def ratio(self) -> float:
-        return self.viscous_mass / (self.viscous_mass + self.entrained_mass)
+        viscous = self.viscous_mass
+        return viscous / (viscous + self.entrained_mass) if viscous else 0.0
 
     @property
     def density_sensing_valid(self) -> bool:

@@ -14,6 +14,7 @@ from fpwsim import (
     LiquidLoad,
     LoadingState,
     MaterialLayer,
+    PRESET_LIQUIDS,
     loaded_velocity,
     parse_device_config,
     s21_sweep,
@@ -271,8 +272,11 @@ class TestPlateCommand:
             ("total_thickness = 1e97", 36, "bending_term"),
             ("young_modulus = 1.7e308", 36, "plate_modulus"),
             ("poisson_ratio = 0.3\ntotal_thickness = 1e97", 37, "bending_term"),
+            # Each pin passes alone; pinned in line order, the second fails.
+            ("young_modulus = 1e290\ntotal_thickness = 1e4", 37, "bending_term"),
         ],
-        ids=["thickness-bending", "modulus-plate-modulus", "second-pin"],
+        ids=["thickness-bending", "modulus-plate-modulus", "second-pin",
+             "combined-pins"],
     )
     def test_override_overflowing_a_derived_value_names_its_line(
         self, tmp_path, capsys, command, pinned, line, message
@@ -370,19 +374,21 @@ class TestDispersionCommand:
         assert lines[0] == "density_kg_m3,frequency_hz"
         assert len(lines) == 6
 
-    def test_density_sweep_csv_matches_row_oracle(self, tmp_path):
+    @pytest.mark.parametrize("tension", [0.0, 2.74])
+    @pytest.mark.parametrize("liquid", [None, "water", "glycerol"])
+    def test_density_sweep_csv_matches_row_oracle(self, tmp_path, liquid, tension):
         out = tmp_path / "sweep.csv"
         # More rows than one block of the CSV writer.
-        result = run(
-            ["dispersion", "--liquid", "water", "--sweep-out", str(out),
-             "--sweep-densities", "10:3000:4500"]
-        )
+        argv = ["dispersion", "--tension", str(tension), "--sweep-out", str(out),
+                "--sweep-densities", "10:3000:4500"]
+        result = run(argv + (["--liquid", liquid] if liquid else []))
         assert result.exit_status == 0
         cfg = parse_device_config(_bundled("reference_device.cfg"))
+        viscosity = PRESET_LIQUIDS[liquid].viscosity if liquid else 0.0
         rows = [
             (float(density), loaded_velocity(
                 cfg.plate(),
-                LoadingState(0.0, LiquidLoad(float(density), 1.0e-3)),
+                LoadingState(tension, LiquidLoad(float(density), viscosity)),
                 cfg.geometry.wavelength,
             ).resonant_frequency)
             for density in np.linspace(10.0, 3000.0, 4500)
@@ -391,6 +397,29 @@ class TestDispersionCommand:
             tmp_path / "oracle.csv", "density_kg_m3,frequency_hz", rows
         )
         assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, density",
+        [
+            (["--liquids", "{goo}", "dispersion", "--liquid", "goo"], "1e+250"),
+            (["dispersion", "--liquid", "glycerol", "--sweep-out", "{out}",
+              "--sweep-densities", "1:1.7e308:3"], "8.5e+307"),
+        ],
+        ids=["summary", "sweep"],
+    )
+    def test_overflowing_density_exits_1_naming_it(
+        self, tmp_path, capsys, argv, density
+    ):
+        # Valid, finite densities whose viscous loading overflows to NaN.
+        goo, out = tmp_path / "goo.txt", tmp_path / "sweep.csv"
+        goo.write_text("goo 1e250 1.0\n")
+        status = main([a.format(goo=goo, out=out) for a in argv])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"liquid density {density} kg/m^3" in captured.err
+        assert not out.exists()
 
 
 class TestS21Command:
@@ -588,11 +617,16 @@ class TestMainEntryPoint:
         (["s21", "--tension", "inf", "--out", "{out}"], "finite"),
         (["invert", "--freq", "nan", "--points", "{bad}"], "--freq"),
         (["invert", "--freq", "inf", "--points", "{bad}"], "--freq"),
+        (["dispersion", "--sweep-out", "{out}", "--sweep-densities", "1:inf:3"],
+         "finite"),
+        (["dispersion", "--sweep-out", "{out}", "--sweep-densities", "nan:1:3"],
+         "finite"),
     ],
     ids=["fit-bad-points", "invert-bad-points", "bad-liquids", "one-point",
          "reversed-window", "dispersion-negative-tension",
          "s21-negative-tension", "nan-tension", "inf-tension",
-         "s21-inf-tension", "nan-freq", "inf-freq"],
+         "s21-inf-tension", "nan-freq", "inf-freq", "inf-sweep-bound",
+         "nan-sweep-bound"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
     # Two fields: a bad density for a points file, one short for a library.

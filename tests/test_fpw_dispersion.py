@@ -15,7 +15,7 @@ from fpwsim import (
     sensitivities,
     unloaded_velocity,
 )
-from fpwsim.fpw_dispersion import mass_sensitivity, tension_sensitivity
+from fpwsim.fpw_dispersion import _phase_velocity, mass_sensitivity, tension_sensitivity
 from conftest import PUBLISHED, WAVELENGTH
 from oracles import bisect_density, bisect_loaded_velocity, closed_form_density
 
@@ -209,6 +209,36 @@ class TestLoadedVelocity:
             WAVELENGTH,
         )
         assert solution.phase_velocity == pytest.approx(oracle, rel=1e-13)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        densities=st.lists(st.floats(1e-3, 2e4), min_size=1, max_size=40),
+        viscosity=st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 10.0),
+            st.floats(-300.0, 1.0).map(lambda e: 10.0**e),
+        ),
+        tension=st.floats(0.0, 100.0),
+    )
+    def test_array_form_matches_scalar_form(
+        self, pinned_plate, densities, viscosity, tension
+    ):
+        # The density sweep evaluates the kernel once over an array. Only the
+        # cube root differs (numpy's power against libm's pow), by a few ulp.
+        v, m = _phase_velocity(
+            pinned_plate, WAVELENGTH, tension, np.array(densities), viscosity,
+            np.sqrt,
+        )
+        scalar = [
+            _phase_velocity(pinned_plate, WAVELENGTH, tension, rho, viscosity)
+            for rho in densities
+        ]
+        np.testing.assert_allclose(v, [p[0] for p in scalar], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(m, [p[1] for p in scalar], rtol=1e-14, atol=0)
 
     def test_inviscid_liquid_is_closed_form(self, pinned_plate):
         tension, density = 10.0, 1000.0

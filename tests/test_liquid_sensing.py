@@ -188,9 +188,11 @@ class TestInvertDensityCalibrated:
 
 
 class TestViscosityCouplingReport:
-    def test_inviscid_liquid_is_valid(self, pinned_plate):
+    # At 5e-324, the least density validation takes, both masses are 0.
+    @pytest.mark.parametrize("density", [1000.0, 5e-324])
+    def test_inviscid_liquid_is_valid(self, pinned_plate, density):
         report = viscosity_coupling_report(
-            LiquidSample("ideal", 1000.0, 0.0), pinned_plate, WAVELENGTH
+            LiquidSample("ideal", density, 0.0), pinned_plate, WAVELENGTH
         )
         assert report.ratio == 0.0
         assert report.density_sensing_valid
