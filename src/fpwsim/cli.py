@@ -37,7 +37,6 @@ from .config import (
     parse_device_config,
 )
 from .fpw_dispersion import (
-    LiquidLoad,
     LoadingState,
     NoSolutionError,
     _phase_velocity,
@@ -113,9 +112,8 @@ def _pick_liquid(args) -> LiquidSample | None:
 
 
 def _loading(args, liquid: LiquidSample | None) -> LoadingState:
-    load = None if liquid is None else LiquidLoad(liquid.density, liquid.viscosity)
     try:
-        return LoadingState(tension=args.tension, liquid=load)
+        return LoadingState(tension=args.tension, liquid=liquid)
     except ValueError as exc:
         raise UsageError(f"--tension {args.tension}: {exc}") from None
 

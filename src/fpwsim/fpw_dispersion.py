@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
-from .plate_materials import CompositePlate
+from .plate_materials import CompositePlate, evanescent_decay_length
+
+if TYPE_CHECKING:
+    from .liquid_sensing import LiquidSample
 
 # Sound speed used for the v_p << c_liquid validity ratio (water at ~20 C).
 WATER_SOUND_SPEED = 1482.0
@@ -66,10 +69,15 @@ class LiquidLoad:
 
 @dataclass(frozen=True)
 class LoadingState:
-    """In-plane tension (N/m, tensile only) plus optional liquid load."""
+    """In-plane tension (N/m, tensile only) plus optional liquid load.
+
+    The liquid is a ``LiquidLoad`` or a ``LiquidSample``, held as given: the
+    solver reads only its density, viscosity and ``covers_decay_length``
+    (always True for a sample), so a sample needs no copy.
+    """
 
     tension: float = 0.0
-    liquid: LiquidLoad | None = None
+    liquid: LiquidLoad | LiquidSample | None = None
 
     def __post_init__(self):
         if not 0 <= self.tension < math.inf:
@@ -81,18 +89,20 @@ class VelocitySolution:
     """Closed-form loading solution.
 
     Stores what the solve produced, phase_velocity (m/s) and viscous_mass
-    (kg/m^2), and the wavelength (m) and liquid (None when dry) the rest is
-    derived from on read: resonant_frequency (Hz), evanescent_length and
-    viscous_length (m), sound_speed_ratio (v_p over the water sound speed;
-    small means the decay-length approximation is safe) and the non-fatal
-    precondition ``warnings``. ``iterations`` (0) and ``converged`` (True)
-    are class constants: every solve is closed form.
+    (kg/m^2), and the wavelength (m) and liquid the rest is derived from on
+    read. The liquid is the loading's own record, a ``LiquidLoad`` or a
+    ``LiquidSample``, or None when dry. Derived: resonant_frequency (Hz),
+    evanescent_length and viscous_length (m), sound_speed_ratio (v_p over
+    the water sound speed; small means the decay-length approximation is
+    safe) and the non-fatal precondition ``warnings``. ``iterations`` (0)
+    and ``converged`` (True) are class constants: every solve is closed
+    form.
     """
 
     phase_velocity: float
     viscous_mass: float
     wavelength: float
-    liquid: LiquidLoad | None
+    liquid: LiquidLoad | LiquidSample | None
     iterations: ClassVar[int] = 0
     converged: ClassVar[bool] = True
 
@@ -138,13 +148,6 @@ def unloaded_velocity(bending: float, areal_mass: float) -> float:
     return math.sqrt(bending / areal_mass)
 
 
-def evanescent_decay_length(wavelength: float) -> float:
-    """Penetration depth wavelength / 2 pi of plate motion into the liquid (m)."""
-    if wavelength <= 0:
-        raise ValueError("wavelength must be > 0")
-    return wavelength / (2.0 * math.pi)
-
-
 def _phase_velocity(
     plate: CompositePlate, wavelength: float, tension: float, rho, eta: float,
     sqrt=math.sqrt,
@@ -159,8 +162,9 @@ def _phase_velocity(
     an array of densities when ``sqrt`` is an array square root. Densities
     that overflow h * h give NaN, unchecked: on the bundled plate above about
     3e211 kg/m^3 at 10 Pa*s, 1.5e214 at 1e-3 Pa*s."""
-    stiffness = tension + plate.bending_term(wavelength)
-    base_mass = plate.mass_per_area + rho * evanescent_decay_length(wavelength)
+    bending, delta_e, _ = plate.wave_constants(wavelength)
+    stiffness = tension + bending
+    base_mass = plate.mass_per_area + rho * delta_e
     v0 = sqrt(stiffness / base_mass)
     if eta == 0:
         return v0, 0.0
@@ -211,10 +215,10 @@ def sensitivities(
     (m^3/kg, negative), s_T per unit tension (m/N). Both are evaluated at
     the current density and tension, inviscid limit.
     """
-    delta_e = evanescent_decay_length(wavelength)
+    bending, delta_e, _ = plate.wave_constants(wavelength)
     rho = loading.liquid.density if loading.liquid is not None else 0.0
     s_m = mass_sensitivity(plate.mass_per_area, rho, delta_e)
-    s_t = tension_sensitivity(loading.tension, plate.bending_term(wavelength))
+    s_t = tension_sensitivity(loading.tension, bending)
     return s_m, s_t
 
 
@@ -244,9 +248,12 @@ def density_from_frequency(
         raise ValueError("assumed viscosity must be finite and >= 0")
     if not 0 <= tension < math.inf:
         raise ValueError("tension must be finite and >= 0")
-    stiffness = tension + plate.bending_term(wavelength)
+    bending, delta_e, v0 = plate.wave_constants(wavelength)
+    stiffness = tension + bending
     areal_mass = plate.mass_per_area
-    unloaded_f = math.sqrt(stiffness / areal_mass) / wavelength
+    if tension:  # else stiffness is the bending term, and v0 is known
+        v0 = math.sqrt(stiffness / areal_mass)
+    unloaded_f = v0 / wavelength
     if measured_frequency >= unloaded_f:
         raise NoSolutionError(
             f"measured frequency {measured_frequency:.6g} Hz is not below the "
@@ -255,7 +262,6 @@ def density_from_frequency(
         )
 
     v = measured_frequency * wavelength
-    delta_e = evanescent_decay_length(wavelength)
     added_mass = stiffness / v**2 - areal_mass  # rho delta_E + M_eta
     b = math.sqrt(assumed_viscosity / (4.0 * math.pi * measured_frequency))
     s = 2.0 * added_mass / (b + math.sqrt(b * b + 4.0 * delta_e * added_mass))

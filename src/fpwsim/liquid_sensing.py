@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
 from .config import content_lines, finite_float
-from .fpw_dispersion import LiquidLoad, LoadingState, _phase_velocity, loaded_velocity
+from .fpw_dispersion import LoadingState, _phase_velocity, loaded_velocity
 from .plate_materials import CompositePlate
 
 # Fraction of the total added liquid mass the viscous part may reach before
@@ -36,11 +36,16 @@ class DegenerateFitError(ValueError):
 
 @dataclass(frozen=True)
 class LiquidSample:
-    """A candidate liquid: density in kg/m^3, shear viscosity in Pa*s."""
+    """A candidate liquid: density in kg/m^3, shear viscosity in Pa*s.
+
+    Also a valid liquid load of a ``LoadingState``: its density is > 0 and,
+    as a class constant, it covers the evanescent decay length.
+    """
 
     name: str
     density: float
     viscosity: float
+    covers_decay_length: ClassVar[bool] = True
 
     def __post_init__(self):
         if not 0 < self.density < math.inf:
@@ -170,16 +175,16 @@ def viscosity_coupling_report(
 ) -> CouplingReport:
     """Judge whether a frequency reading identifies density for this liquid.
 
-    Solves the loaded operating point once, with ``loaded_velocity``, and
-    keeps the viscous and entrained masses; the report weighs them on read.
-    Above COUPLING_THRESHOLD the density and viscosity contributions are
-    entangled and a frequency shift alone cannot be attributed to density.
+    Solves the loaded operating point once, with ``loaded_velocity`` and
+    the sample itself as the load, and keeps the viscous mass and the
+    entrained mass rho delta_E, delta_E read from the plate's wavelength
+    constants; the report weighs them on read. Above COUPLING_THRESHOLD the
+    density and viscosity contributions are entangled and a frequency shift
+    alone cannot be attributed to density.
     """
-    load = LoadingState(0.0, LiquidLoad(liquid.density, liquid.viscosity))
-    solution = loaded_velocity(plate, load, wavelength)
-    return CouplingReport(
-        solution.viscous_mass, liquid.density * solution.evanescent_length
-    )
+    solution = loaded_velocity(plate, LoadingState(0.0, liquid), wavelength)
+    delta_e = plate.wave_constants(wavelength).decay_length
+    return CouplingReport(solution.viscous_mass, liquid.density * delta_e)
 
 
 @dataclass(frozen=True)

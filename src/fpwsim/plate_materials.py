@@ -12,7 +12,8 @@ mass per area in kg/m^2, bending term in N/m.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import math
 
@@ -25,6 +26,23 @@ OVERRIDABLE_PARAMETERS = (
     "mass_per_area",
     "total_thickness",
 )
+
+
+def evanescent_decay_length(wavelength: float) -> float:
+    """Penetration depth wavelength / 2 pi of plate motion into the liquid (m)."""
+    if wavelength <= 0:
+        raise ValueError("wavelength must be > 0")
+    return wavelength / (2.0 * math.pi)
+
+
+class WaveConstants(NamedTuple):
+    """What a plate fixes at one wavelength: the bending term B (N/m), the
+    evanescent decay length delta_E (m) and the unloaded phase velocity
+    sqrt(B / M) (m/s)."""
+
+    bending: float
+    decay_length: float
+    unloaded_velocity: float
 
 
 @dataclass(frozen=True)
@@ -145,9 +163,29 @@ class CompositePlate:
 
         The flexural rigidity E' h^3 / 12 times the squared wavenumber
         (2 pi / wavelength)^2: the stiffness that enters the flexural wave
-        velocity together with the mass per unit area. A wavelength at
-        which it is not finite and > 0 is refused with a ValueError.
+        velocity together with the mass per unit area. Read from
+        ``wave_constants``, so it is derived once per plate and wavelength;
+        a wavelength at which it, or the unloaded velocity sqrt(B / M), is
+        not finite and > 0 is refused with a ValueError.
         """
+        return self.wave_constants(wavelength).bending
+
+    def wave_constants(self, wavelength: float) -> WaveConstants:
+        """B, delta_E and sqrt(B / M) at ``wavelength``, derived and validated
+        on first use and then kept by this plate (see ``bending_term``)."""
+        cache = self._wave_constants
+        constants = cache.get(wavelength)
+        if constants is None:
+            constants = cache[wavelength] = self._derive_wave_constants(wavelength)
+        return constants
+
+    @cached_property
+    def _wave_constants(self) -> dict[float, WaveConstants]:
+        # Per instance and outside the fields: equality, repr and
+        # dataclasses.replace see none of it.
+        return {}
+
+    def _derive_wave_constants(self, wavelength: float) -> WaveConstants:
         if not wavelength > 0:
             raise ValueError("wavelength must be > 0")
         try:  # k**2 raises OverflowError where the product would be inf
@@ -156,4 +194,10 @@ class CompositePlate:
             term = math.inf
         if not 0 < term < math.inf:
             raise ValueError("bending_term must be finite and > 0")
-        return term
+        velocity = math.sqrt(term / self.mass_per_area)
+        if not 0 < velocity < math.inf:
+            raise ValueError(
+                "unloaded velocity sqrt(bending_term / mass_per_area) must be "
+                "finite and > 0"
+            )
+        return WaveConstants(term, evanescent_decay_length(wavelength), velocity)

@@ -293,6 +293,25 @@ class TestPlateCommand:
         assert captured.err == f"error: line {line}: {message} must be finite and > 0\n"
 
     @pytest.mark.parametrize("command", ["plate", "dispersion", "s21"])
+    def test_subnormal_pinned_mass_names_its_line(self, tmp_path, capsys, command):
+        # A valid plate whose unloaded velocity sqrt(B / M) overflows.
+        text = _bundled("reference_device.cfg")
+        path = tmp_path / "light.cfg"
+        path.write_text(re.sub(r"(?m)^mass_per_area = .*$",
+                               "mass_per_area = 1e-310", text))
+        argv = ["--config", str(path), command]
+        if command == "s21":
+            argv += ["--fpw", "--out", str(tmp_path / "x.csv")]
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: line 35: unloaded velocity sqrt(bending_term / "
+            "mass_per_area) must be finite and > 0\n"
+        )
+
+    @pytest.mark.parametrize("command", ["plate", "dispersion", "s21"])
     @pytest.mark.parametrize(
         "replaced, thickness, line",
         [

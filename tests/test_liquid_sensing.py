@@ -16,11 +16,13 @@ from fpwsim import (
     PRESET_LIQUIDS,
     VelocitySolution,
     fit_density_sensitivity,
+    fpw_device_response,
     invert_density_calibrated,
     load_liquid_library,
     load_reference_datasets,
     loaded_velocity,
     predict_frequency,
+    sensitivities,
     viscosity_coupling_report,
 )
 from fpwsim import liquid_sensing
@@ -370,6 +372,82 @@ class TestRecordsDeriveTheRest:
             assert first is not second
             assert first == second
             assert hash(first) == hash(second)
+
+
+class TestLiquidSampleIsALoad:
+    """A LiquidSample goes into a LoadingState as it is and gives every
+    result a LiquidLoad of the same density and viscosity gives."""
+
+    def test_sample_fields_unchanged(self):
+        assert [f.name for f in fields(LiquidSample)] == [
+            "name", "density", "viscosity"
+        ]
+        assert LiquidSample("x", 1.0, 0.0).covers_decay_length is True
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        density=st.floats(1e-3, 2e4),
+        viscosity=st.one_of(st.just(0.0), st.floats(0.0, 10.0),
+                            st.floats(0.0, 1e-200)),
+        tension=st.floats(0.0, 100.0),
+        thickness=st.one_of(st.none(), st.floats(0.5e-6, 10e-6)),
+    )
+    @example(density=1000.0, viscosity=0.001, tension=0.0, thickness=10e-6)
+    def test_same_results_as_liquid_load(
+        self, pinned_plate, bulk_geometry, bulk_params, density, viscosity,
+        tension, thickness,
+    ):
+        plate = pinned_plate if thickness is None else _nitride_plate(thickness)
+        sample = LiquidSample("x", density, viscosity)
+        loads = [LoadingState(tension, sample),
+                 LoadingState(tension, LiquidLoad(density, viscosity))]
+
+        by_sample, by_load = (loaded_velocity(plate, load, WAVELENGTH)
+                              for load in loads)
+        assert by_sample.liquid is sample
+        names = {f.name for f in fields(VelocitySolution)} | {
+            n for n in dir(VelocitySolution) if not n.startswith("_")
+        }
+        names.remove("liquid")
+        assert {"phase_velocity", "warnings"} <= names
+        assert ({n: getattr(by_sample, n) for n in names}
+                == {n: getattr(by_load, n) for n in names})
+        assert (sensitivities(plate, loads[0], WAVELENGTH)
+                == sensitivities(plate, loads[1], WAVELENGTH))
+
+        sweeps = [
+            fpw_device_response(plate, load, bulk_geometry, bulk_params,
+                                points=101, include_viscous_loss=True)
+            for load in loads
+        ]
+        for name in ("frequencies", "s21", "gap_indices"):
+            np.testing.assert_array_equal(
+                getattr(sweeps[0], name), getattr(sweeps[1], name)
+            )
+
+        # The report as it was, when it copied the sample into a LiquidLoad.
+        former = loaded_velocity(plate, LoadingState(0.0, loads[1].liquid),
+                                 WAVELENGTH)
+        expected = former_report_values(former.viscous_mass, density, WAVELENGTH)
+        report = viscosity_coupling_report(sample, plate, WAVELENGTH)
+        assert {name: getattr(report, name) for name in expected} == expected
+
+    def test_report_loads_the_sample_itself(self, pinned_plate, monkeypatch):
+        loadings = []
+
+        def recording(plate, loading, wavelength):
+            loadings.append(loading)
+            return loaded_velocity(plate, loading, wavelength)
+
+        monkeypatch.setattr(liquid_sensing, "loaded_velocity", recording)
+        sample = PRESET_LIQUIDS["glycerol"]
+        viscosity_coupling_report(sample, pinned_plate, WAVELENGTH)
+        assert len(loadings) == 1
+        assert loadings[0].liquid is sample
 
 
 class TestTensionEffect:

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fpwsim import CompositePlate, MaterialLayer
 from fpwsim.plate_materials import OVERRIDABLE_PARAMETERS
@@ -159,6 +161,80 @@ class TestBendingTerm:
         assert plate.bending_term(WAVELENGTH) == pytest.approx(
             rigidity * k**2, rel=1e-14, abs=0.0
         )
+
+
+def former_wave_constants(plate, wavelength):
+    """B, delta_E and sqrt(B / M) by the expressions each caller evaluated
+    before the plate kept them."""
+    rigidity = plate.plate_modulus * plate.total_thickness**3 / 12.0
+    bending = rigidity * (2.0 * math.pi / wavelength) ** 2
+    velocity = math.sqrt(bending / plate.mass_per_area)
+    return bending, wavelength / (2.0 * math.pi), velocity
+
+
+LAYERS = st.lists(
+    st.builds(
+        MaterialLayer,
+        st.just("l"),
+        st.floats(0.1e-6, 5e-6),
+        st.floats(1e10, 5e11),
+        st.floats(0.0, 0.49),
+        st.floats(1000.0, 20000.0),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestWaveConstants:
+    """Each plate derives its constants at a wavelength once and keeps them
+    outside its fields."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layers=LAYERS,
+        pinned_mass=st.one_of(st.none(), st.floats(1e-3, 1.0)),
+        wavelengths=st.lists(st.floats(1e-6, 1e-3), min_size=2, max_size=2,
+                             unique=True),
+        thickness_scale=st.floats(0.5, 2.0),
+    )
+    def test_bit_identical_to_former_expressions(
+        self, layers, pinned_mass, wavelengths, thickness_scale
+    ):
+        pins = {} if pinned_mass is None else {"mass_per_area": pinned_mass}
+        plate = CompositePlate.from_layers(layers, pins)
+        for wavelength in wavelengths * 2:  # derived, then read back
+            expected = former_wave_constants(plate, wavelength)
+            assert plate.wave_constants(wavelength) == expected
+            assert plate.bending_term(wavelength) == expected[0]
+        assert plate.wave_constants(wavelengths[0]) is plate.wave_constants(
+            wavelengths[0]
+        )
+
+        # A replaced plate derives from its own fields into its own cache.
+        thicker = replace(
+            plate, total_thickness=plate.total_thickness * thickness_scale
+        )
+        assert "_wave_constants" not in vars(thicker)
+        assert thicker.wave_constants(wavelengths[0]) == former_wave_constants(
+            thicker, wavelengths[0]
+        )
+        assert thicker._wave_constants.keys() == {wavelengths[0]}
+
+        # Equality sees the fields, not what the cache holds.
+        twin = replace(plate)
+        assert "_wave_constants" not in vars(twin)
+        assert twin == plate
+        twin.wave_constants(2e-3)  # outside the drawn wavelengths
+        assert twin == plate
+        assert 2e-3 not in plate._wave_constants
+
+    def test_subnormal_areal_mass_refused_naming_it(self):
+        plate = pinned(mass_per_area=1e-310)
+        for _ in range(2):  # a refusal is not kept
+            with pytest.raises(ValueError, match="mass_per_area"):
+                plate.bending_term(WAVELENGTH)
+        assert not plate._wave_constants
 
 
 class TestBracketingProperties:
