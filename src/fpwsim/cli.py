@@ -111,11 +111,22 @@ def _pick_liquid(args) -> LiquidSample | None:
     return library[name]
 
 
-def _loading(args, liquid: LiquidSample | None) -> LoadingState:
+def _loading(args, liquid: LiquidSample | None, plate, wavelength) -> LoadingState:
     try:
-        return LoadingState(tension=args.tension, liquid=liquid)
+        loading = LoadingState(tension=args.tension, liquid=liquid)
     except ValueError as exc:
         raise UsageError(f"--tension {args.tension}: {exc}") from None
+    # The liquid only adds mass and the viscous term only slows the wave, so
+    # a finite inviscid (T + B) / (M + rho delta_E) keeps the velocity finite.
+    bending, decay_length, _ = plate.wave_constants(wavelength)
+    density = liquid.density if liquid is not None else 0.0
+    ratio = (args.tension + bending) / (plate.mass_per_area + density * decay_length)
+    if not math.isfinite(ratio):
+        raise UsageError(
+            f"--tension {args.tension}: the loaded velocity "
+            "sqrt((T + B) / (M + rho delta_E)) overflows"
+        )
+    return loading
 
 
 def _cmd_plate(args) -> RunResult:
@@ -142,8 +153,8 @@ def _cmd_dispersion(args) -> RunResult:
     cfg = _load_config(args)
     plate = cfg.plate()
     liquid = _pick_liquid(args)
-    loading = _loading(args, liquid)
     wavelength = cfg.geometry.wavelength
+    loading = _loading(args, liquid, plate, wavelength)
     solution = loaded_velocity(plate, loading, wavelength)
     if not math.isfinite(solution.phase_velocity):
         _refuse_non_finite(liquid.density if liquid else 0.0)
@@ -217,7 +228,7 @@ def _cmd_s21(args) -> RunResult:
         sweep = partial(
             fpw_device_response,
             plate,
-            _loading(args, liquid),
+            _loading(args, liquid, plate, geometry.wavelength),
             geometry,
             cfg.com_parameters(free_velocity=1.0),
             *window,

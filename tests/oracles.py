@@ -6,7 +6,8 @@ the loading balance (instead of the quartic and quadratic closed-form
 roots), closed forms are written from scratch where one exists, and the
 resonator S21 is solved one frequency at a time through the literal 2x2
 transfer-matrix chain (instead of the closed form evaluated over the
-frequency axis), from element matrices written here in scalar ``cmath``.
+frequency axis), from element matrices written here in scalar ``cmath``,
+and by the closed form as the sweep evaluated it before its step tables.
 The CSV writers format one value at a time with Python's own ``%.9e``
 (instead of the array kernel). The values the loading records derive on
 read are given by the formulas that computed them when the records stored
@@ -248,6 +249,71 @@ def chain_s21(frequency, geometry, params, drive_port=1):
     if drive_port == 1:
         return complex(pickup * (w4[0] + w5[1]))
     return complex(pickup * (w2[0] + w3[1]))
+
+
+def former_s21(frequencies, geometry, params, drive_port=1):
+    """S21 over ``frequencies`` by the closed form the sweep evaluated before
+    it read its propagation phases from per-sweep step tables: seven
+    transcendentals per point (np.sqrt, np.sinh and np.cosh of the grating,
+    three np.exp of the spacings and the half IDT, np.sinc of the array
+    factor), each evaluated at every frequency. NaN where the solve is
+    singular (zero or non-finite M[0, 0], or a non-finite result)."""
+    f = np.asarray(frequencies, dtype=float)
+    with np.errstate(all="ignore"):
+        # Grating entries g00, g01, g10.
+        length = geometry.grating_strips * geometry.wavelength / 2.0
+        kappa = (2.0 * params.strip_reflectivity / geometry.wavelength
+                 * cmath.exp(1j * params.reflection_phase))
+        beta = 2.0 * math.pi * f / params.free_velocity
+        bragg = 2.0 * math.pi / geometry.wavelength
+        detuning = (beta - bragg) - 1j * params.attenuation
+        sigma = np.sqrt(kappa * kappa.conjugate() - detuning * detuning)
+        z = sigma * length
+        small = np.abs(z) < 1e-9
+        stretch = np.where(small, length, np.sinh(z) / np.where(small, 1.0, sigma))
+        spread = np.cosh(z)
+        carrier = cmath.exp(1j * bragg * length)
+        g00 = (spread + 1j * detuning * stretch) * carrier
+        g01 = -1j * kappa * stretch / carrier
+        g10 = 1j * kappa.conjugate() * stretch * carrier
+        # Launch amplitude mu of one IDT port.
+        center = params.free_velocity / geometry.wavelength
+        x = geometry.idt_pairs * math.pi * (f - center) / center
+        lobe = np.sinc(x / math.pi)
+        aperture = geometry.overlap / 50.0
+        capacitance = (
+            params.static_capacitance_per_pair * geometry.idt_pairs * aperture
+        )
+        susceptance = 2.0 * math.pi * f * capacitance
+        strength = params.transduction_strength
+        conductance = abs(strength) ** 2 * 0.02 * lobe**2 * aperture
+        admittance = conductance + 1j * susceptance
+        reflection = (0.02 - admittance) / (0.02 + admittance)
+        magnitude = np.sqrt(np.maximum(0.0, 1.0 - np.abs(reflection) ** 2) / 2.0)
+        phase = strength / abs(strength) if strength != 0 else 0.0
+        mu = magnitude * np.sign(lobe) * phase
+        # The chain between the gratings, solved in closed form.
+        gamma = params.attenuation + 1j * 2.0 * math.pi * f / params.free_velocity
+        pg = np.exp(gamma * geometry.grating_gap)
+        pm = np.exp(gamma * (geometry.idt_separation * geometry.wavelength))
+        half = np.exp(gamma * (geometry.idt_pairs * geometry.wavelength) / 2.0)
+        tap = np.sqrt(1.0 - np.abs(mu) ** 2)
+        t = half * half / tap
+        tau0 = -mu * half / tap
+        tau1 = mu / half
+        w = pg * t
+        a = w * w * pm
+        denom = g00 * g00 * a + g01 * g10 / a
+        if drive_port == 1:
+            pickup = -(g00 * pg * tau0 + g01 * tau1 / pg) * (w * g00 + g10 / pg)
+        else:
+            pickup = (
+                g01 * (tau0 * g10 / (pg * w) - w * g00 * tau1 / pg)
+                + g00 * (tau1 * g00 * w * w - g10 * tau0)
+            )
+        s21 = mu / half * pickup / denom
+        solved = np.isfinite(denom) & (denom != 0) & np.isfinite(s21)
+    return np.where(solved, s21, complex(np.nan, np.nan))
 
 
 def reference_sweep_csv(response, path):

@@ -661,6 +661,52 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["s21", "--bulk", "--f-stop", "inf", "--out", "{out}"],
+        ["s21", "--fpw", "--f-stop", "inf", "--out", "{out}"],
+        ["s21", "--bulk", "--f-start", "6e7", "--f-stop", "inf",
+         "--out", "{out}"],
+    ],
+    ids=["bulk-default-start", "fpw-default-start", "bulk-given-start"],
+)
+def test_non_finite_sweep_window_exits_2_without_csv(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    status = main([a.format(out=out) for a in argv])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err == "error: f_stop must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dispersion", "--tension", "1.7e308"],
+        ["dispersion", "--liquid", "glycerol", "--tension", "1.7e308"],
+        ["s21", "--fpw", "--tension", "1.7e308", "--out", "{out}"],
+    ],
+    ids=["dispersion-dry", "dispersion-glycerol", "s21-fpw"],
+)
+def test_overflowing_tension_exits_2_naming_the_option(tmp_path, capsys, argv):
+    # Finite and >= 0, so LoadingState accepts it, but (T + B) / M overflows.
+    out = tmp_path / "out.csv"
+    status = main([a.format(out=out) for a in argv])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --tension 1.7e+308: ")
+    assert "overflows" in captured.err
+    assert not out.exists()
+
+
+def test_large_finite_tension_still_solves(capsys):
+    # A huge tension whose (T + B) / M stays finite is not refused.
+    assert main(["dispersion", "--tension", "1e300"]) == 0
+    assert "phase_velocity_m_s: 2.9" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "argv, text, message",
     [
         (["--config", "{path}", "plate"],

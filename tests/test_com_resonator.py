@@ -37,6 +37,7 @@ from oracles import (
     bragg_reflection_magnitude,
     chain_elements,
     chain_s21,
+    former_s21,
     grating_matrix,
     lorentzian_magnitude,
     reference_csv,
@@ -435,6 +436,113 @@ class TestS21Sweep:
                 frequencies=np.array([1.0, 1.0, 2.0]),
                 s21=np.zeros(3, dtype=complex),
             )
+
+
+class TestSweepWindowRefusals:
+    @pytest.mark.parametrize("f_start", [None, 59e6])
+    def test_infinite_f_stop_refused(self, bulk_geometry, bulk_params, f_start):
+        with pytest.raises(ValueError, match="f_stop must be finite"):
+            s21_sweep(bulk_geometry, bulk_params, f_start, math.inf)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_non_finite_frequencies_refused(self, bad, index):
+        frequencies = np.array([1.0, 2.0, 3.0])
+        frequencies[index] = bad
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            FrequencyResponse(
+                frequencies=frequencies, s21=np.zeros(3, dtype=complex)
+            )
+
+    @pytest.mark.parametrize("frequency", [math.nan, math.inf])
+    def test_grating_scattering_refuses_non_finite(
+        self, bulk_geometry, bulk_params, frequency
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                grating_scattering(frequency, bulk_geometry, bulk_params)
+
+
+def _nudge_spread(frequencies, geometry, params, drive_port, former):
+    """Per point, how far the former closed form moves when every frequency
+    moves by 4 ulp either way (0 where either side is a gap)."""
+    spread = np.zeros(len(former))
+    for ulps in (4, -4):
+        nudged = former_s21(
+            frequencies * (1.0 + ulps * 2.0**-52), geometry, params, drive_port
+        )
+        moved = np.abs(nudged - former)
+        spread = np.maximum(spread, np.where(np.isnan(moved), 0.0, moved))
+    return spread
+
+
+class TestStepTableSweep:
+    """The sweep's step tables and one-exp hyperbolics against the former
+    closed form, which evaluated seven transcendentals at every point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        geometry=valid_geometries,
+        params=valid_parameters,
+        points=st.sampled_from([
+            2, 3, SWEEP_BLOCK_POINTS - 1, SWEEP_BLOCK_POINTS,
+            SWEEP_BLOCK_POINTS + 1, 20001,
+        ]),
+        window=st.one_of(
+            st.none(), st.tuples(st.floats(0.05, 2.0), st.floats(1e-6, 1.0))
+        ),
+        drive_port=st.sampled_from([1, 2]),
+    )
+    def test_matches_former_closed_form(
+        self, geometry, params, points, window, drive_port
+    ):
+        # Attenuation up to 1e6 Np/m: where the solve overflows, the same
+        # points must become gaps. Elsewhere S21 agrees to 1e-11 of the peak,
+        # plus, at high-finesse resonances, how far the former form itself
+        # moves under a 4-ulp change of frequency: there S21 is only as
+        # exact as the rounding of phases of up to ~1e4 rad, in both forms.
+        f_start = f_stop = None
+        if window is not None:
+            f0 = params.center_frequency(geometry.wavelength)
+            f_start, f_stop = window[0] * f0, (window[0] + window[1]) * f0
+        response = s21_sweep(geometry, params, f_start, f_stop, points, drive_port)
+        former = former_s21(response.frequencies, geometry, params, drive_port)
+        assert response.gap_indices == tuple(np.flatnonzero(np.isnan(former)).tolist())
+        solved = ~np.isnan(former)
+        if not np.any(solved):
+            return
+        peak = np.max(np.abs(former[solved]))
+        spread = _nudge_spread(
+            response.frequencies, geometry, params, drive_port, former
+        )
+        error = np.abs(response.s21 - former)
+        assert np.all(error[solved] <= 1e-11 * peak + spread[solved])
+
+    def test_design_space_within_1e_11_of_peak(self, bulk_geometry, bulk_params):
+        # The benchmark's design draws at its 20001 points, with no
+        # allowance: the gratings there (N |r_s| <= 10) keep S21 well
+        # conditioned.
+        rng = np.random.default_rng(1811)
+        for _ in range(16):
+            geometry = replace(
+                bulk_geometry,
+                grating_strips=int(rng.choice([0, *range(20, 201)])),
+                idt_pairs=int(rng.integers(5, 41)),
+                grating_gap=design_spacing(int(rng.integers(0, 4)), WAVELENGTH),
+            )
+            params = replace(
+                bulk_params,
+                strip_reflectivity=float(rng.uniform(0.0, 0.05)),
+                transduction_strength=float(rng.uniform(0.1, 0.6)),
+                attenuation=float(rng.uniform(0.0, 50.0)),
+            )
+            for port in (1, 2):
+                response = s21_sweep(geometry, params, points=20001, drive_port=port)
+                former = former_s21(response.frequencies, geometry, params, port)
+                assert response.gap_indices == ()
+                peak = np.max(np.abs(former))
+                assert np.max(np.abs(response.s21 - former)) <= 1e-11 * peak
 
 
 class TestFindResonance:
