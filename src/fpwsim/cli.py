@@ -44,6 +44,7 @@ from .fpw_dispersion import (
     sensitivities,
 )
 from .liquid_sensing import (
+    CalibrationFit,
     DegenerateFitError,
     LiquidSample,
     PRESET_LIQUIDS,
@@ -74,34 +75,29 @@ def _bundled(name: str) -> str:
 
 
 def _load_config(args) -> DeviceConfig:
-    if args.config is None:
-        text = _bundled("reference_device.cfg")
-    else:
-        text = Path(args.config).read_text()
+    path = args.config
+    text = _bundled("reference_device.cfg") if path is None else Path(path).read_text()
     return parse_device_config(text)
 
 
-def _load_liquids(args) -> dict[str, LiquidSample]:
-    if args.liquids is None:
-        return PRESET_LIQUIDS
-    text = Path(args.liquids).read_text()
+def _calibration(args) -> CalibrationFit:
     try:
-        return load_liquid_library(text)
-    except ValueError as exc:
-        raise UsageError(f"liquid library {args.liquids}: {exc}") from None
-
-
-def _read_points(args) -> list[tuple[float, float]]:
-    try:
-        return parse_calibration_points(Path(args.points).read_text())
+        points = parse_calibration_points(Path(args.points).read_text())
     except ValueError as exc:
         raise UsageError(f"{args.points}: {exc}") from None
+    return fit_density_sensitivity(points)
 
 
 def _pick_liquid(args) -> LiquidSample | None:
     if args.liquid is None:
         return None
-    library = _load_liquids(args)
+    library = PRESET_LIQUIDS
+    if args.liquids is not None:
+        text = Path(args.liquids).read_text()
+        try:
+            library = load_liquid_library(text)
+        except ValueError as exc:
+            raise UsageError(f"liquid library {args.liquids}: {exc}") from None
     name = args.liquid.lower()
     if name not in library:
         raise UsageError(
@@ -117,11 +113,10 @@ def _loading(args, liquid: LiquidSample | None, plate, wavelength) -> LoadingSta
     except ValueError as exc:
         raise UsageError(f"--tension {args.tension}: {exc}") from None
     # The liquid only adds mass and the viscous term only slows the wave, so
-    # a finite inviscid (T + B) / (M + rho delta_E) keeps the velocity finite.
-    bending, decay_length, _ = plate.wave_constants(wavelength)
+    # a finite inviscid velocity keeps the loaded one finite.
     density = liquid.density if liquid is not None else 0.0
-    ratio = (args.tension + bending) / (plate.mass_per_area + density * decay_length)
-    if not math.isfinite(ratio):
+    velocity, _ = _phase_velocity(plate, wavelength, args.tension, density, 0.0)
+    if not math.isfinite(velocity):
         raise UsageError(
             f"--tension {args.tension}: the loaded velocity "
             "sqrt((T + B) / (M + rho delta_E)) overflows"
@@ -157,7 +152,7 @@ def _cmd_dispersion(args) -> RunResult:
     loading = _loading(args, liquid, plate, wavelength)
     solution = loaded_velocity(plate, loading, wavelength)
     if not math.isfinite(solution.phase_velocity):
-        _refuse_non_finite(liquid.density if liquid else 0.0)
+        _refuse_non_finite(liquid.density)  # dry: finite, see _loading
     s_m, s_t = sensitivities(plate, loading, wavelength)
     lines = [
         f"liquid: {liquid.name if liquid else 'none'}",
@@ -200,9 +195,7 @@ def _refuse_non_finite(density: float):
 def _parse_sweep_range(text: str) -> tuple[float, float, int]:
     fields = text.split(":")
     if len(fields) != 3:
-        raise UsageError(
-            f"sweep range must be 'lo:hi:count', got {text!r}"
-        )
+        raise UsageError(f"sweep range must be 'lo:hi:count', got {text!r}")
     try:
         lo, hi = finite_float(fields[0]), finite_float(fields[1])
         count = int(fields[2])
@@ -267,8 +260,7 @@ def _cmd_s21(args) -> RunResult:
 
 
 def _cmd_fit(args) -> RunResult:
-    points = _read_points(args)
-    fit = fit_density_sensitivity(points)
+    fit = _calibration(args)
     lines = [
         f"points: {len(fit.points)}",
         f"slope_hz_per_kg_m3: {_NUM % fit.slope}",
@@ -282,8 +274,7 @@ def _cmd_fit(args) -> RunResult:
 def _cmd_invert(args) -> RunResult:
     if not math.isfinite(args.freq):
         raise UsageError(f"--freq must be a finite number, got {args.freq}")
-    points = _read_points(args)
-    fit = fit_density_sensitivity(points)
+    fit = _calibration(args)
     density, extrapolated = invert_density_calibrated(args.freq, fit)
     lines = [
         f"frequency_hz: {_NUM % args.freq}",
@@ -291,9 +282,7 @@ def _cmd_invert(args) -> RunResult:
         f"density_g_cm3: {_NUM % (density / 1000.0)}",
     ]
     if extrapolated:
-        lines.append(
-            "warning: frequency outside the calibrated range; extrapolating"
-        )
+        lines.append("warning: frequency outside the calibrated range; extrapolating")
     return RunResult(command="invert", summary=tuple(lines))
 
 
@@ -322,9 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.add_argument(
         "--tension", type=float, default=0.0, help="in-plane tension (N/m)"
     )
-    p_disp.add_argument(
-        "--sweep-out", help="write a density sweep CSV to this path"
-    )
+    p_disp.add_argument("--sweep-out", help="write a density sweep CSV to this path")
     p_disp.add_argument(
         "--sweep-densities",
         default="500:2000:16",
@@ -373,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> RunResult:
     """Parse arguments and execute; errors are folded into the result."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = args.command
     try:
         return args.func(args)

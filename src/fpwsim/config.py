@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Iterable, Iterator, get_type_hints
+from functools import partial
+from typing import Callable, Iterator, NoReturn, get_type_hints
 
 from .com_resonator import ComParameters, DeviceGeometry, design_spacing
 from .plate_materials import OVERRIDABLE_PARAMETERS, CompositePlate, MaterialLayer
@@ -53,6 +54,7 @@ _SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
     "override": dict.fromkeys(OVERRIDABLE_PARAMETERS, finite_float),
 }
 _LAYER_REQUIRED = {f.name for f in fields(MaterialLayer) if f.default is MISSING}
+_SPACING = {"spacing_index", "grating_gap"}  # either one, not both
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str, str]]:
@@ -102,23 +104,58 @@ def _add_layer(layers: dict[int, MaterialLayer], entries: dict, lineno: int) -> 
         raise ConfigError(str(exc), lineno) from None
 
 
-def _fails(layers: Iterable[MaterialLayer], overrides: dict, wavelength: float) -> bool:
-    """Whether the stack makes no valid plate or bending term at wavelength."""
-    try:
-        CompositePlate.from_layers(layers, overrides).bending_term(wavelength)
-    except ValueError:
-        return True
-    return False
+def _key_check(section: str, key: str, entries: dict) -> Callable[[], object]:
+    """Check of one [geometry]/[com] value alone, stand-ins (wavelength and
+    velocity 1.0) filling the rest. The later of two gap keys conflicts."""
+    value = entries[key]
+    if key in _SPACING and _SPACING <= entries.keys():
+        return _spacing_conflict
+    if key == "spacing_index":
+        return partial(design_spacing, value, 1.0)
+    if section == "geometry":
+        return partial(DeviceGeometry, **{"wavelength": 1.0, key: value})
+    key = "free_velocity" if key == "velocity" else key
+    return partial(ComParameters, **{"free_velocity": 1.0, key: value})
+
+
+def _spacing_conflict():
+    raise ValueError(
+        "specify either [geometry] spacing_index or grating_gap, not both"
+    )
+
+
+def _wave_constants(stack, pins: dict, wavelength: float):
+    return CompositePlate.from_layers(stack, pins).wave_constants(wavelength)
+
+
+def _blame(error: ValueError, steps: list[tuple]) -> NoReturn:
+    """Raise ``error`` as a ConfigError at the line of the first of
+    ``steps``, ``(line, check)`` pairs, whose check raises a ValueError."""
+    for lineno, check in steps:
+        try:
+            check()
+        except ValueError:
+            raise ConfigError(str(error), lineno) from None
+    raise ConfigError(str(error))
 
 
 def parse_device_config(text: str) -> DeviceConfig:
-    """Parse and validate a device configuration."""
+    """Parse and validate a device configuration.
+
+    A malformed line is refused at its line. A refused value names the line
+    of the first failing step: each [geometry]/[com] key alone in line order
+    (the later of spacing_index and grating_gap conflicts), the grating gap
+    designed from spacing_index, each [layer] alone at the wavelength, the
+    stack grown a [layer] at a time, the unpinned stack at the wavelength
+    (its line), then the [override] pins added in line order.
+    """
     sections: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
     layers: dict[int, MaterialLayer] = {}  # by the line of their [layer]
     section: str | None = None
     section_lineno = 0
     entries: dict[str, object] = {}
     key_lines: dict[tuple[str, str], int] = {}
+    steps: list[tuple[int | None, Callable]] = []  # [geometry]/[com] keys
 
     for lineno, raw, line in content_lines(text):
         if line.startswith("[") and line.endswith("]"):
@@ -136,8 +173,7 @@ def parse_device_config(text: str) -> DeviceConfig:
         if section is None:
             raise ConfigError("key outside of any section", lineno)
         key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
+        key, value = key.strip().lower(), value.strip()
         if not value:
             raise ConfigError(f"empty value for key {key!r}", lineno)
         kind = _SCHEMA[section].get(key)
@@ -153,61 +189,42 @@ def parse_device_config(text: str) -> DeviceConfig:
             raise ConfigError(
                 f"malformed {number} {value!r} for key {key!r}", lineno
             ) from None
+        if section in ("geometry", "com"):
+            steps.append((lineno, _key_check(section, key, entries)))
     if section == "layer":
         _add_layer(layers, entries, section_lineno)
 
-    geometry, com = sections["geometry"], sections["com"]
+    geometry, overrides = sections["geometry"], sections["override"]
     if "wavelength" not in geometry:
         raise ConfigError("missing required [geometry] key 'wavelength'")
-    if "spacing_index" in geometry and "grating_gap" in geometry:
-        raise ConfigError(
-            "specify either [geometry] spacing_index or grating_gap, not both"
-        )
-    if "grating_gap" not in geometry:
-        index = geometry.pop("spacing_index", 0)
-        try:
-            geometry["grating_gap"] = design_spacing(index, geometry["wavelength"])
-        except ValueError as exc:
-            key = "spacing_index" if index < 0 else "wavelength"
-            raise ConfigError(str(exc), key_lines["geometry", key]) from None
-
-    com_velocity = com.pop("velocity", None)
+    wavelength, stack = geometry["wavelength"], [*layers.values()]
     try:
+        for _, check in steps:
+            check()
+        index = geometry.pop("spacing_index", 0)
+        geometry.setdefault("grating_gap", design_spacing(index, wavelength))
         device_geometry = DeviceGeometry(**geometry)  # type: ignore[arg-type]
-        # Validate the COM settings eagerly, at a stand-in velocity if none.
-        ComParameters(
-            free_velocity=1.0 if com_velocity is None else com_velocity, **com
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-
-    overrides, wavelength = sections["override"], device_geometry.wavelength
-    plate = None
-    try:  # validate the plate and its bending term eagerly, overrides applied
         if layers:
-            plate = CompositePlate.from_layers(layers.values(), overrides)
-            plate.bending_term(wavelength)
+            _wave_constants(stack, overrides, wavelength)
     except ValueError as exc:
-        # The line of a pinned key the message names, else of a layer that
-        # fails alone. Else the pinned key at which a stack that passes
-        # unpinned first fails, pinning in line order, or else the wavelength.
-        stack, pins = layers.values(), list(overrides.items())
-        lines = [key_lines["override", key] for key in overrides if key in str(exc)]
-        lines += [n for n, one in layers.items() if _fails([one], {}, wavelength)]
-        if not lines and not _fails(stack, {}, wavelength):
-            lines = [key_lines["override", key] for n, (key, _) in enumerate(pins)
-                     if _fails(stack, dict(pins[: n + 1]), wavelength)]
-        elif not lines and plate is not None:
-            lines = [key_lines["geometry", "wavelength"]]
-        raise ConfigError(str(exc), lines[0] if lines else None) from None
+        pin_lines = [key_lines["geometry", "wavelength"]]
+        pin_lines += [key_lines["override", key] for key in overrides]
+        pins = [*overrides.items()]
+        _blame(exc, [
+            *steps,
+            (key_lines.get(("geometry", "spacing_index")),
+             partial(DeviceGeometry, **geometry)),
+            *[(n, partial(_wave_constants, [layer], {}, wavelength))
+              for n, layer in layers.items()],
+            *[(n, partial(CompositePlate.from_layers, stack[: i + 1]))
+              for i, n in enumerate(layers)],
+            *[(n, partial(_wave_constants, stack, dict(pins[:i]), wavelength))
+              for i, n in enumerate(pin_lines)],
+        ])
 
-    return DeviceConfig(
-        layers=tuple(layers.values()),
-        geometry=device_geometry,
-        com_velocity=com_velocity,
-        com_settings=com,
-        overrides=overrides,
-    )
+    com = sections["com"]
+    velocity = com.pop("velocity", None)
+    return DeviceConfig(tuple(stack), device_geometry, velocity, com, overrides)
 
 
 def parse_density(token: str) -> float:
@@ -228,12 +245,9 @@ def parse_calibration_points(text: str) -> list[tuple[float, float]]:
     points: list[tuple[float, float]] = []
     for lineno, raw, line in content_lines(text):
         tokens = line.split()
-        if len(tokens) != 2:
-            raise ValueError(
-                f"points file line {lineno}: expected 'density frequency', "
-                f"got {raw!r}"
-            )
         try:
+            if len(tokens) != 2:
+                raise ValueError(f"expected 'density frequency', got {raw!r}")
             points.append((parse_density(tokens[0]), finite_float(tokens[1])))
         except ValueError as exc:
             raise ValueError(f"points file line {lineno}: {exc}") from None

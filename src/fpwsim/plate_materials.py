@@ -166,7 +166,8 @@ class CompositePlate:
         velocity together with the mass per unit area. Read from
         ``wave_constants``, so it is derived once per plate and wavelength;
         a wavelength at which it, or the unloaded velocity sqrt(B / M), is
-        not finite and > 0 is refused with a ValueError.
+        not finite and > 0, or at which the unloaded frequency
+        sqrt(B / M) / wavelength underflows to 0, is refused with a ValueError.
         """
         return self.wave_constants(wavelength).bending
 
@@ -199,5 +200,10 @@ class CompositePlate:
             raise ValueError(
                 "unloaded velocity sqrt(bending_term / mass_per_area) must be "
                 "finite and > 0"
+            )
+        if not velocity / wavelength > 0:  # v0 finite: f0 can only underflow
+            raise ValueError(
+                "unloaded frequency sqrt(bending_term / mass_per_area) / "
+                "wavelength must be > 0"
             )
         return WaveConstants(term, evanescent_decay_length(wavelength), velocity)

@@ -1,7 +1,9 @@
 import errno
 import os
 import re
+import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +179,33 @@ class TestParseDeviceConfig:
                 assert (name, got, type(got)) == (name, value, type(value))
 
 
+def _bundled_with(replacement: str) -> str:
+    """The bundled config with the line of ``replacement``'s key replaced."""
+    key = replacement.split("=", 1)[0].strip()
+    text = _bundled("reference_device.cfg")
+    return re.sub(rf"(?m)^{key} = .*$", replacement, text, count=1)
+
+
+_HEAVY_LAYER = (
+    "[layer]\nthickness = 1e8\nyoung_modulus = 1e11\npoisson_ratio = 0.3\n"
+    "density = 1e300\n"
+)
+_NUMBER = re.compile(r"\s*[-+]?\.?\d")
+_VALUE_MENU = ["0", "-1", "1e-310", "1e-120", "1e97", "1e300", "1.7e308"]
+# The only config refusals that have no line to name.
+_LINELESS_REFUSALS = {
+    "missing required [geometry] key 'wavelength'",
+    "configuration defines no layers",
+}
+
+
+def _run_plate(config: str):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "device.cfg"
+        path.write_text(config)
+        return run(["--config", str(path), "plate"])
+
+
 class TestDensityParsing:
     def test_si_plain(self):
         assert parse_density("1000") == 1000.0
@@ -348,6 +377,72 @@ class TestPlateCommand:
         assert status == 2
         assert captured.out == ""
         assert captured.err.startswith(f"error: line {line}: ")
+
+    @pytest.mark.parametrize("command", ["plate", "dispersion", "s21"])
+    @pytest.mark.parametrize(
+        "config, line, message",
+        [
+            # Each [geometry]/[com] key is checked on its own.
+            (_bundled_with("idt_pairs = 0"), 20, "idt_pairs must be >= 1"),
+            (_bundled_with("overlap = -1"), 22, "overlap must be > 0"),
+            (_bundled_with("velocity = -1"), 27, "free_velocity must be > 0"),
+            (_bundled_with("strip_reflectivity = 0.5"), 28,
+             "strip_reflectivity magnitude must lie in [0, 0.2)"),
+            (_bundled_with("transduction_strength = 1.5"), 30,
+             "normalized transduction_strength magnitude must be < 1"),
+            # The later of spacing_index (line 24) and grating_gap conflicts.
+            (_bundled_with("spacing_index = 0\ngrating_gap = 5e-6"), 25,
+             "specify either [geometry] spacing_index or grating_gap, not both"),
+            # Each layer is valid; their areal masses sum past 1.8e308, so
+            # the [layer] that completes the stack is blamed.
+            (2 * _HEAVY_LAYER + "[geometry]\nwavelength = 40e-6\n", 6,
+             "mass_per_area must be finite and > 0"),
+            # B = 4.9e-324 and v0 = 2.2e-162 pass, but v0 / wavelength is 0.
+            ("[layer]\nthickness = 1e-3\nyoung_modulus = 1.092e10\n"
+             "poisson_ratio = 0.3\ndensity = 1000\n"
+             "[geometry]\nwavelength = 2.8e162\n", 1,
+             "unloaded frequency sqrt(bending_term / mass_per_area) / "
+             "wavelength must be > 0"),
+        ],
+        ids=["idt-pairs", "overlap", "velocity", "strip-reflectivity",
+             "transduction", "spacing-conflict", "summed-mass", "f0-underflow"],
+    )
+    def test_refused_value_names_its_line(
+        self, tmp_path, capsys, command, config, line, message
+    ):
+        path = tmp_path / "device.cfg"
+        path.write_text(config)
+        argv = ["--config", str(path), command]
+        if command == "s21":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == f"error: line {line}: {message}\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_refused_value_names_a_line(self, data):
+        text = _bundled("reference_device.cfg")
+        lines = text.splitlines()
+        numeric = [
+            n for n, raw in enumerate(lines)
+            if "=" in raw and _NUMBER.match(raw.split("=", 1)[1].split("#")[0])
+        ]
+        chosen = data.draw(st.lists(st.sampled_from(numeric), min_size=1,
+                                    max_size=2, unique=True))
+        for n in chosen:
+            key = lines[n].split("=", 1)[0]
+            lines[n] = f"{key}= {data.draw(st.sampled_from(_VALUE_MENU))}"
+        config = "\n".join(lines) + "\n"
+        result = _run_plate(config)
+        if result.exit_status != 2 or result.errors[0] in _LINELESS_REFUSALS:
+            return
+        found = re.match(r"line (\d+): ", result.errors[0])
+        assert found, result.errors[0]
+        blamed = lines[int(found[1]) - 1].split("#", 1)[0].strip()
+        assert blamed == "[layer]" or "=" in blamed, (blamed, result.errors[0])
 
     def test_missing_config_file_exits_2(self):
         result = run(["--config", "/nonexistent.cfg", "plate"])

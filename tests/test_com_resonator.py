@@ -27,6 +27,8 @@ from fpwsim import (
 )
 from fpwsim.com_resonator import (
     _POW10,
+    PORT_ADMITTANCE,
+    REFERENCE_OVERLAP,
     SWEEP_BLOCK_POINTS,
     format_csv_rows,
     port_coupling,
@@ -206,6 +208,27 @@ class TestIdtMatrix:
         params = ComParameters(free_velocity=2400.0, transduction_strength=0.0)
         _, reflection = port_coupling([61e6], bulk_geometry, params)
         assert abs(reflection[0]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the |mu|^2 = (1 - |reflection|^2) / 2 cap cancels at weak "
+        "transduction (relative error 2.4e-3 here); ROADMAP item 2 removes it",
+    )
+    def test_weak_port_launch_amplitude_is_exact(self, bulk_geometry):
+        # 1 - |reflection|^2 = 4 Y0 G / |Y0 + Y|^2 exactly, so with no
+        # capacitance |mu| = sqrt(2 Y0 G) / (Y0 + G).
+        params = ComParameters(
+            free_velocity=2400.0, transduction_strength=1e-7,
+            static_capacitance_per_pair=0.0,
+        )
+        mu, _ = port_coupling([BULK_F0], bulk_geometry, params)
+        lobe = array_factor(BULK_F0, BULK_F0, bulk_geometry.idt_pairs)
+        aperture = bulk_geometry.overlap / REFERENCE_OVERLAP
+        conductance = 1e-14 * PORT_ADMITTANCE * lobe**2 * aperture
+        exact = math.sqrt(2.0 * PORT_ADMITTANCE * conductance) / (
+            PORT_ADMITTANCE + conductance
+        )
+        assert abs(mu[0]) == pytest.approx(exact, rel=1e-9, abs=0.0)
 
 
 def _s21_at(frequency, geometry, params, drive_port):
