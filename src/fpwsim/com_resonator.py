@@ -47,6 +47,14 @@ built at import, from the scaled mantissa |x| 10^(9 - e) rounded to an
 integer. Values it cannot round exactly fall back to ``"%.9e" % value``:
 non-finite, zero, subnormal or outside [1e-280, 1e280] in magnitude, or
 with a mantissa whose fraction lies within 1e-4 of 1/2 or is >= 1e10 - 1.
+An existing file is written over in place and then cut to length, not
+truncated when opened: on ext4, closing a file that was truncated to zero
+and written again starts writeback of the whole file inside close(). When
+``write_csv`` returns the file holds exactly the new bytes; after any
+exception, KeyboardInterrupt included, exactly the new bytes written so
+far, as a truncating open leaves them. Only a hard kill mid-write differs:
+it leaves the new head followed by the old file's tail, where a truncating
+open left the new head alone. Neither form is atomic or synced to disk.
 
 Conventions: time factor exp(+i omega t), forward propagation phase
 exp(-i beta x). A grating strip sits every half wavelength, so a grating
@@ -71,6 +79,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import stat
 from dataclasses import dataclass, field, replace
 import numpy as np
 
@@ -228,7 +238,16 @@ def design_spacing(index: int, wavelength: float) -> float:
         raise ValueError("spacing index must be a non-negative integer")
     if not 0 < wavelength < math.inf:
         raise ValueError("wavelength must be > 0")
-    return (0.125 + 0.5 * index) * wavelength
+    try:
+        gap = (0.125 + 0.5 * index) * wavelength
+    except OverflowError:  # an int index beyond the float range
+        gap = math.inf
+    if gap == math.inf:
+        raise ValueError(
+            "designed grating gap (1/8 + spacing index/2) * wavelength "
+            "must be finite"
+        )
+    return gap
 
 
 def _grating_terms(frequencies, geometry: DeviceGeometry, params: ComParameters):
@@ -619,19 +638,44 @@ def format_csv_rows(values) -> bytes:
     return grid.tobytes().translate(None, b"\0")
 
 
+def _keep_contents(path, flags):
+    """``os.open`` opener that leaves an existing file's bytes in place."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def write_csv(path, header: str, columns) -> None:
     """Write ``header`` and one ``format_csv_rows`` line per entry of the
-    equal-length 1-D ``columns``, SWEEP_BLOCK_POINTS rows at a time."""
+    equal-length 1-D ``columns``, SWEEP_BLOCK_POINTS rows at a time.
+
+    An existing file is written over in place and then cut to the length
+    written, so when this returns the file holds exactly the new bytes.
+    After any exception, KeyboardInterrupt included, it holds exactly the
+    new bytes written so far, as a truncating open would leave it. Only a
+    hard kill mid-write differs: the file then holds the new head followed
+    by the old file's tail. Neither form is atomic or synced to disk. Paths
+    that are not regular files, such as /dev/null, are written and never
+    cut.
+    """
     columns = [np.asarray(column, dtype=float) for column in columns]
     if len({len(column) for column in columns}) != 1:
         raise ValueError("CSV columns differ in length")
-    with open(path, "wb") as handle:
-        handle.write(header.encode() + b"\n")
-        for start in range(0, len(columns[0]), SWEEP_BLOCK_POINTS):
-            block = slice(start, start + SWEEP_BLOCK_POINTS)
-            handle.write(
-                format_csv_rows(np.column_stack([c[block] for c in columns]))
-            )
+    rows = len(columns[0])
+    block = np.empty((min(rows, SWEEP_BLOCK_POINTS), len(columns)))
+    with open(path, "wb", opener=_keep_contents) as handle:
+        try:
+            handle.write(header.encode() + b"\n")
+            for start in range(0, rows, SWEEP_BLOCK_POINTS):
+                count = min(rows - start, SWEEP_BLOCK_POINTS)
+                for j, column in enumerate(columns):
+                    block[:count, j] = column[start:start + count]
+                handle.write(format_csv_rows(block[:count]))
+        finally:
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                # Cut at what reached the file, also when this flush fails.
+                try:
+                    handle.flush()
+                finally:
+                    os.ftruncate(handle.fileno(), handle.raw.tell())
 
 
 def write_sweep_csv(response: FrequencyResponse, path) -> None:

@@ -124,30 +124,41 @@ def _spacing_conflict():
     )
 
 
+def _designed_geometry(entries: dict, index: int) -> DeviceGeometry:
+    """DeviceGeometry of the [geometry] entries, the grating gap designed
+    from ``index`` at the wavelength unless given."""
+    if "grating_gap" not in entries:
+        gap = design_spacing(index, entries["wavelength"])
+        entries = {**entries, "grating_gap": gap}
+    return DeviceGeometry(**entries)
+
+
 def _wave_constants(stack, pins: dict, wavelength: float):
     return CompositePlate.from_layers(stack, pins).wave_constants(wavelength)
 
 
 def _blame(error: ValueError, steps: list[tuple]) -> NoReturn:
-    """Raise ``error`` as a ConfigError at the line of the first of
-    ``steps``, ``(line, check)`` pairs, whose check raises a ValueError."""
+    """Raise, as a ConfigError at its line, the ValueError of the first of
+    ``steps`` (``(line, check)`` pairs) whose check fails; ``error`` with no
+    line if none does."""
     for lineno, check in steps:
         try:
             check()
-        except ValueError:
-            raise ConfigError(str(error), lineno) from None
+        except ValueError as exc:
+            raise ConfigError(str(exc), lineno) from None
     raise ConfigError(str(error))
 
 
 def parse_device_config(text: str) -> DeviceConfig:
     """Parse and validate a device configuration.
 
-    A malformed line is refused at its line. A refused value names the line
-    of the first failing step: each [geometry]/[com] key alone in line order
-    (the later of spacing_index and grating_gap conflicts), the grating gap
-    designed from spacing_index, each [layer] alone at the wavelength, the
-    stack grown a [layer] at a time, the unpinned stack at the wavelength
-    (its line), then the [override] pins added in line order.
+    A malformed line is refused at its line. A refused value is reported
+    with the line and the message of the first failing step: each
+    [geometry]/[com] key alone in line order (the later of spacing_index and
+    grating_gap conflicts), the grating gap designed from spacing_index, each
+    [layer] alone at the wavelength, the stack grown a [layer] at a time,
+    the unpinned stack at the wavelength (its line), then the [override]
+    pins added in line order.
     """
     sections: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
     layers: dict[int, MaterialLayer] = {}  # by the line of their [layer]
@@ -198,12 +209,12 @@ def parse_device_config(text: str) -> DeviceConfig:
     if "wavelength" not in geometry:
         raise ConfigError("missing required [geometry] key 'wavelength'")
     wavelength, stack = geometry["wavelength"], [*layers.values()]
+    index = geometry.pop("spacing_index", 0)
+    design = partial(_designed_geometry, geometry, index)
     try:
         for _, check in steps:
             check()
-        index = geometry.pop("spacing_index", 0)
-        geometry.setdefault("grating_gap", design_spacing(index, wavelength))
-        device_geometry = DeviceGeometry(**geometry)  # type: ignore[arg-type]
+        device_geometry = design()
         if layers:
             _wave_constants(stack, overrides, wavelength)
     except ValueError as exc:
@@ -212,8 +223,7 @@ def parse_device_config(text: str) -> DeviceConfig:
         pins = [*overrides.items()]
         _blame(exc, [
             *steps,
-            (key_lines.get(("geometry", "spacing_index")),
-             partial(DeviceGeometry, **geometry)),
+            (key_lines.get(("geometry", "spacing_index")), design),
             *[(n, partial(_wave_constants, [layer], {}, wavelength))
               for n, layer in layers.items()],
             *[(n, partial(CompositePlate.from_layers, stack[: i + 1]))

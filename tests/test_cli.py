@@ -190,6 +190,9 @@ _HEAVY_LAYER = (
     "[layer]\nthickness = 1e8\nyoung_modulus = 1e11\npoisson_ratio = 0.3\n"
     "density = 1e300\n"
 )
+_GAP_MESSAGE = (
+    "designed grating gap (1/8 + spacing index/2) * wavelength must be finite"
+)
 _NUMBER = re.compile(r"\s*[-+]?\.?\d")
 _VALUE_MENU = ["0", "-1", "1e-310", "1e-120", "1e97", "1e300", "1.7e308"]
 # The only config refusals that have no line to name.
@@ -403,9 +406,18 @@ class TestPlateCommand:
              "[geometry]\nwavelength = 2.8e162\n", 1,
              "unloaded frequency sqrt(bending_term / mass_per_area) / "
              "wavelength must be > 0"),
+            # Two faults: the first [layer] fails alone, with its own text.
+            (_bundled_with("thickness = 1e-310").replace(
+                "mass_per_area = 0.1176", "mass_per_area = 0"), 4,
+             "flexural_rigidity must be finite and > 0"),
+            # 0.5 * index overflows; the designed gap overflows at 4 m.
+            (_bundled_with("spacing_index = " + "1" * 401), 24, _GAP_MESSAGE),
+            (_bundled_with("spacing_index = " + "1" * 309).replace(
+                "wavelength = 40e-6", "wavelength = 4"), 24, _GAP_MESSAGE),
         ],
         ids=["idt-pairs", "overlap", "velocity", "strip-reflectivity",
-             "transduction", "spacing-conflict", "summed-mass", "f0-underflow"],
+             "transduction", "spacing-conflict", "summed-mass", "f0-underflow",
+             "two-faults", "index-overflow", "gap-overflow"],
     )
     def test_refused_value_names_its_line(
         self, tmp_path, capsys, command, config, line, message

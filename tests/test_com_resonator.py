@@ -1,9 +1,16 @@
 import cmath
+import errno
+import hashlib
 import math
+import os
+import stat
 import struct
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +32,7 @@ from fpwsim import (
     s21_sweep,
     write_sweep_csv,
 )
+from fpwsim import cli, com_resonator
 from fpwsim.com_resonator import (
     _POW10,
     PORT_ADMITTANCE,
@@ -60,6 +68,15 @@ class TestDesignSpacing:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             design_spacing(-1, WAVELENGTH)
+
+    @pytest.mark.parametrize(
+        "index, wavelength",
+        [(10**400, WAVELENGTH), (10**308, 4.0), (1e308, 4.0)],
+        ids=["index-overflows", "int-gap-overflows", "float-gap-overflows"],
+    )
+    def test_non_finite_gap_rejected(self, index, wavelength):
+        with pytest.raises(ValueError, match="designed grating gap"):
+            design_spacing(index, wavelength)
 
 
 class TestSpacingMatrix:
@@ -773,6 +790,102 @@ class TestCsvExport:
             assert (tmp_path / "kernel.csv").read_bytes() == (
                 tmp_path / "oracle.csv"
             ).read_bytes()
+
+
+def _columns(rows):
+    return [np.linspace(1.0, 2.0, rows), np.linspace(-3.0, 5.0, rows)]
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestCsvRewrite:
+    """write_csv writes over an existing file in place and cuts it to length."""
+
+    @pytest.mark.parametrize("old_rows", [3 * SWEEP_BLOCK_POINTS, 7])
+    def test_existing_file_ends_as_a_fresh_write(self, tmp_path, old_rows):
+        rows = SWEEP_BLOCK_POINTS + 11
+        write_csv(tmp_path / "fresh.csv", "a,b", _columns(rows))
+        path = tmp_path / "old.csv"
+        write_csv(path, "a,b", _columns(old_rows))
+        write_csv(path, "a,b", _columns(rows))
+        assert _sha256(path) == _sha256(tmp_path / "fresh.csv")
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failure_leaves_only_the_new_prefix(
+        self, tmp_path, monkeypatch, error
+    ):
+        columns = _columns(2 * SWEEP_BLOCK_POINTS + 5)
+        write_csv(tmp_path / "head.csv", "a,b",
+                  [c[:SWEEP_BLOCK_POINTS] for c in columns])
+        path = tmp_path / "out.csv"
+        write_csv(path, "a,b", _columns(4 * SWEEP_BLOCK_POINTS))
+        blocks = []
+
+        def failing(values):
+            blocks.append(len(values))
+            if len(blocks) == 2:
+                raise error("second block")
+            return format_csv_rows(values)
+
+        monkeypatch.setattr(com_resonator, "format_csv_rows", failing)
+        with pytest.raises(error):
+            write_csv(path, "a,b", columns)
+        assert path.read_bytes() == (tmp_path / "head.csv").read_bytes()
+
+    def test_failed_flush_still_cuts_the_old_tail(self, tmp_path):
+        # The last block is small enough to sit in the write buffer, so the
+        # closing flush is the write that crosses the process's file size
+        # limit and fails with EFBIG, over an old file twice as long.
+        resource = pytest.importorskip("resource")
+        rows = SWEEP_BLOCK_POINTS + 100
+        write_csv(tmp_path / "fresh.csv", "a,b", _columns(rows))
+        fresh = (tmp_path / "fresh.csv").read_bytes()
+        limit = len(fresh) - 1000
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"x" * 2 * len(fresh))
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        script = (
+            "import resource, signal, sys\n"
+            "import numpy as np\n"
+            "from fpwsim.com_resonator import write_csv\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {hard}))\n"
+            f"rows = {rows}\n"
+            "columns = [np.linspace(1.0, 2.0, rows), np.linspace(-3.0, 5.0, rows)]\n"
+            "try:\n"
+            "    write_csv(sys.argv[1], 'a,b', columns)\n"
+            "except OSError as exc:\n"
+            "    print(exc.errno)\n"
+        )
+        package = Path(com_resonator.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env={**os.environ, "PYTHONPATH": str(package)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.stdout.strip() == str(errno.EFBIG), done.stderr
+        assert path.read_bytes() == fresh[:limit]
+
+    def test_mode_bits_are_kept(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, "a,b", _columns(50))
+        path.chmod(0o640)
+        write_csv(path, "a,b", _columns(20))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_symlink_target_is_rewritten(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        write_csv(target, "a,b", _columns(50))
+        link.symlink_to(target)
+        write_csv(link, "a,b", _columns(20))
+        write_csv(tmp_path / "fresh.csv", "a,b", _columns(20))
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert _sha256(target) == _sha256(tmp_path / "fresh.csv")
+
+    def test_bulk_sweep_to_dev_null(self, capsys):
+        assert cli.main(["s21", "--bulk", "--out", os.devnull]) == 0
 
 
 class TestFpwDeviceResponse:
