@@ -66,13 +66,15 @@ standing-wave antinodes on the IDT fingers when the grating-to-IDT gap is
 
 IDT internal mechanical reflections are neglected (transversal model):
 transduction launches waves from the IDT center with a sin(x)/x array
-factor over the finger pairs, the launch amplitude is capped by the power
-the electrical port actually accepts (|mu|^2 = (1 - |reflection|^2) / 2),
-and the acoustic through-path is propagation scaled by sqrt(1 - |mu|^2),
-the energy the electrical tap removes per pass. A no-regeneration IDT is
-not passive: a little more cavity or transduction than the reference
-device's (peak |S21| 0.745) lifts the peak above 1 (1.03 at transduction
-0.6, 1.73 at strip reflectivity 0.05), and ``fpwsim s21`` then warns.
+factor over the finger pairs. Each of the two launched waves carries half
+the power the electrical port accepts: with port admittance Y = G + i B
+and reference Y0, |mu| = sqrt(2 Y0 G) / |Y0 + Y|, so 2 |mu|^2 = 1 -
+|reflection|^2 exactly. The acoustic through-path is propagation scaled
+by sqrt(1 - |mu|^2), the energy the electrical tap removes per pass. A
+no-regeneration IDT is not passive: a little more cavity or transduction
+than the reference device's (peak |S21| 0.745) lifts the peak above 1
+(1.03 at transduction 0.6, 1.73 at strip reflectivity 0.05), and ``fpwsim
+s21`` then warns.
 """
 
 from __future__ import annotations
@@ -299,36 +301,24 @@ def _kappa(geometry: DeviceGeometry, params: ComParameters):
     return kappa, cmath.exp(1j * bragg * geometry.grating_length)
 
 
-def grating_entries(frequencies, geometry: DeviceGeometry, params: ComParameters):
-    """Transfer-matrix entries (g00, g01, g10, g11) of one grating.
-
-    Each entry is a complex array shaped like ``frequencies``. Hyperbolic
-    (strongly reflective) inside the stopband |beta - beta_0| < kappa,
-    oscillatory outside; zero strips give the identity.
-    """
-    spread, stretch, q = _grating_terms(frequencies, geometry, params)
-    kappa, carrier = _kappa(geometry, params)
-    turn = q * stretch
-    return (
-        (spread + turn) * carrier,
-        stretch * (-1j * kappa / carrier),
-        stretch * (1j * kappa.conjugate() * carrier),
-        (spread - turn) / carrier,
-    )
-
-
 def grating_scattering(
     frequency: float, geometry: DeviceGeometry, params: ComParameters
 ) -> tuple[complex, complex]:
     """(reflection, transmission) of one grating for waves incident on it.
 
-    Referenced at the grating face; at the Bragg frequency the lossless
-    reflection magnitude is tanh(N |r_s|) with phase +90 deg for zero
-    reflection phase.
+    Referenced at the grating face, from the transfer-matrix entries g00
+    and g10: reflection g10 / g00, transmission 1 / g00. Hyperbolic
+    (strongly reflective) inside the stopband |beta - beta_0| < kappa,
+    oscillatory outside; zero strips give total transmission. At the Bragg
+    frequency the lossless reflection magnitude is tanh(N |r_s|) with phase
+    +90 deg for zero reflection phase.
     """
     if not 0 < frequency < math.inf:
         raise ValueError("frequency must be finite and > 0")
-    g00, _, g10, _ = grating_entries([frequency], geometry, params)
+    spread, stretch, q = _grating_terms([frequency], geometry, params)
+    kappa, carrier = _kappa(geometry, params)
+    g00 = (spread + q * stretch) * carrier
+    g10 = stretch * (1j * kappa.conjugate() * carrier)
     return g10[0] / g00[0], 1.0 / g00[0]
 
 
@@ -343,15 +333,19 @@ def array_factor(frequency, center_frequency: float, pairs: int):
 
 
 def port_coupling(frequencies, geometry: DeviceGeometry, params: ComParameters):
-    """(launch amplitude mu, electrical reflection) of one IDT port.
+    """Launch amplitude mu of one IDT port, an array shaped like
+    ``frequencies``.
 
-    Both are complex arrays shaped like ``frequencies``. The port sees a
-    radiation conductance |transduction|^2 * Y0 scaled by the squared
-    array factor and the aperture, in parallel with the static finger
-    capacitance. The power the port accepts, 1 - |reflection|^2, radiates
-    acoustically in equal halves, which fixes the launch amplitude:
-    |mu|^2 = (1 - |reflection|^2) / 2. This keeps the drive passive for
-    any parameter values.
+    The port sees a radiation conductance G = |transduction|^2 Y0 scaled by
+    the squared array factor and the aperture, in parallel with the static
+    finger capacitance: Y = G + i B against the reference Y0 =
+    PORT_ADMITTANCE. It accepts the power 1 - |reflection|^2 = 4 Y0 G /
+    |Y0 + Y|^2 and radiates it in equal halves, so |mu| = sqrt(2 Y0 G) /
+    |Y0 + Y| <= 1 / sqrt(2), passive for any parameter values. As sqrt(2 Y0
+    G) = Y0 |transduction| |array factor| sqrt(2 aperture), mu is computed
+    as sqrt(2 aperture) Y0 transduction (array factor) / |Y0 + Y|: the
+    transduction carries the phase and the array factor the sign, and zero
+    transduction or an array-factor null launches nothing.
     """
     frequencies = np.asarray(frequencies, dtype=float)
     lobe = array_factor(
@@ -362,16 +356,15 @@ def port_coupling(frequencies, geometry: DeviceGeometry, params: ComParameters):
     capacitance = (
         params.static_capacitance_per_pair * geometry.idt_pairs * aperture
     )
-    susceptance = 2.0 * math.pi * frequencies * capacitance
+    susceptance = frequencies * (2.0 * math.pi * capacitance)
     strength = params.transduction_strength
-    conductance = abs(strength) ** 2 * PORT_ADMITTANCE * lobe**2 * aperture
-    admittance = conductance + 1j * susceptance
-    reflection = (PORT_ADMITTANCE - admittance) / (PORT_ADMITTANCE + admittance)
-    magnitude = np.sqrt(np.maximum(0.0, 1.0 - np.abs(reflection) ** 2) / 2.0)
-    # Zero transduction or an array-factor null launches nothing, even where
-    # rounding leaves |reflection| a hair below 1.
-    phase = strength / abs(strength) if strength != 0 else 0.0
-    return magnitude * np.sign(lobe) * phase, reflection
+    # |Y0 + Y| = hypot(Y0 + G, B), formed in one block-sized array.
+    load = lobe * lobe
+    load *= abs(strength) ** 2 * PORT_ADMITTANCE * aperture
+    load += PORT_ADMITTANCE
+    np.hypot(load, susceptance, out=load)
+    scale = math.sqrt(2.0 * aperture) * PORT_ADMITTANCE * strength
+    return scale * lobe / load
 
 
 def _phase_steps(beta, step, attenuation, length, points):
@@ -412,7 +405,7 @@ def _s21_block(frequencies, geometry, params, drive_port, u, v):
     under strong loss.
     """
     spread, stretch, q = _grating_terms(frequencies, geometry, params)
-    mu, _ = port_coupling(frequencies, geometry, params)
+    mu = port_coupling(frequencies, geometry, params)
     kappa, carrier = _kappa(geometry, params)
     turned = kappa / (carrier * carrier)
     tap2 = 1.0 - np.abs(mu) ** 2

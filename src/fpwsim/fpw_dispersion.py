@@ -143,8 +143,8 @@ class VelocitySolution:
 
 def unloaded_velocity(bending: float, areal_mass: float) -> float:
     """Phase velocity sqrt(B/M) of the bare plate (m/s)."""
-    if bending <= 0 or areal_mass <= 0:
-        raise ValueError("bending term and areal mass must be > 0")
+    if not (0 < bending < math.inf and 0 < areal_mass < math.inf):
+        raise ValueError("bending term and areal mass must be finite and > 0")
     return math.sqrt(bending / areal_mass)
 
 

@@ -30,8 +30,8 @@ OVERRIDABLE_PARAMETERS = (
 
 def evanescent_decay_length(wavelength: float) -> float:
     """Penetration depth wavelength / 2 pi of plate motion into the liquid (m)."""
-    if wavelength <= 0:
-        raise ValueError("wavelength must be > 0")
+    if not 0 < wavelength < math.inf:
+        raise ValueError("wavelength must be finite and > 0")
     return wavelength / (2.0 * math.pi)
 
 

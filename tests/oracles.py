@@ -143,30 +143,53 @@ def lorentzian_magnitude(freqs, center, half_width):
             for f in freqs]
 
 
-def idt_port(frequency, geometry, params):
-    """(launch amplitude mu, electrical reflection) of one IDT port.
+def launch_amplitude(frequency, lobe, geometry, params):
+    """Launch amplitude mu of one IDT port whose array factor is ``lobe``.
 
-    Written out from the transversal model: radiation conductance
-    |transduction|^2 * Y0 * (sin x / x)^2 * aperture in parallel with the
-    static capacitance, and |mu|^2 = (1 - |reflection|^2) / 2 carrying the
-    sign of the array factor and the phase of the transduction strength.
+    Written out from the transversal model: radiation conductance G =
+    |transduction|^2 * Y0 * lobe^2 * aperture in parallel with the static
+    capacitance, Y = G + i B, and |mu| = sqrt(2 Y0 G) / |Y0 + Y|, half the
+    accepted power 1 - |reflection|^2 = 4 Y0 G / |Y0 + Y|^2 in each
+    direction, carrying the sign of the array factor and the phase of the
+    transduction strength.
     """
+    strength = params.transduction_strength
+    if strength == 0 or lobe == 0:
+        return 0.0
     port_admittance = 0.02
+    aperture = geometry.overlap / 50.0
+    capacitance = params.static_capacitance_per_pair * geometry.idt_pairs * aperture
+    conductance = abs(strength) ** 2 * port_admittance * lobe**2 * aperture
+    admittance = complex(conductance, 2.0 * math.pi * frequency * capacitance)
+    magnitude = math.sqrt(2.0 * port_admittance * conductance) / abs(
+        port_admittance + admittance
+    )
+    return magnitude * math.copysign(1.0, lobe) * strength / abs(strength)
+
+
+def capped_launch_magnitude(frequency, lobe, geometry, params):
+    """(|mu|, accepted power 1 - |reflection|^2) by the form the package used
+    before the exact one: the reflection (Y0 - Y) / (Y0 + Y) first, then
+    |mu|^2 = max(0, 1 - |reflection|^2) / 2, which cancels as |reflection|
+    approaches 1."""
+    port_admittance = 0.02
+    aperture = geometry.overlap / 50.0
+    capacitance = params.static_capacitance_per_pair * geometry.idt_pairs * aperture
+    conductance = (abs(params.transduction_strength) ** 2 * port_admittance
+                   * lobe**2 * aperture)
+    admittance = complex(conductance, 2.0 * math.pi * frequency * capacitance)
+    reflection = (port_admittance - admittance) / (port_admittance + admittance)
+    accepted = 1.0 - abs(reflection) ** 2
+    return math.sqrt(max(0.0, accepted) / 2.0), accepted
+
+
+def idt_port(frequency, geometry, params):
+    """Launch amplitude mu of one IDT port, with the array factor sin(x) / x
+    over the finger pairs (see ``launch_amplitude``)."""
     center = params.free_velocity / geometry.wavelength
     x = geometry.idt_pairs * math.pi * (frequency - center) / center
     lobe = 1.0 if x == 0 else math.sin(x) / x
-    aperture = geometry.overlap / 50.0
-    capacitance = params.static_capacitance_per_pair * geometry.idt_pairs * aperture
-    strength = params.transduction_strength
-    admittance = (
-        abs(strength) ** 2 * port_admittance * lobe**2 * aperture
-        + 2j * math.pi * frequency * capacitance
-    )
-    reflection = (port_admittance - admittance) / (port_admittance + admittance)
-    if strength == 0 or lobe == 0:
-        return 0.0, reflection
-    magnitude = math.sqrt(max(0.0, 1.0 - abs(reflection) ** 2) / 2.0)
-    return magnitude * math.copysign(1.0, lobe) * strength / abs(strength), reflection
+    return launch_amplitude(frequency, lobe, geometry, params)
 
 
 def spacing_matrix(frequency, length, params):
@@ -216,7 +239,7 @@ def chain_elements(frequency, geometry, params):
     The IDT's acoustic block diag(t, 1/t) and tau are written out here.
     """
     gamma = params.attenuation + 2j * math.pi * frequency / params.free_velocity
-    mu, _ = idt_port(frequency, geometry, params)
+    mu = idt_port(frequency, geometry, params)
     tap = math.sqrt(1.0 - abs(mu) ** 2)
     full = cmath.exp(gamma * geometry.idt_length)
     half = cmath.exp(gamma * geometry.idt_length / 2.0)
@@ -256,7 +279,8 @@ def former_s21(frequencies, geometry, params, drive_port=1):
     it read its propagation phases from per-sweep step tables: seven
     transcendentals per point (np.sqrt, np.sinh and np.cosh of the grating,
     three np.exp of the spacings and the half IDT, np.sinc of the array
-    factor), each evaluated at every frequency. NaN where the solve is
+    factor), each evaluated at every frequency, with the launch amplitude
+    in its exact form sqrt(2 Y0 G) / |Y0 + Y|. NaN where the solve is
     singular (zero or non-finite M[0, 0], or a non-finite result)."""
     f = np.asarray(frequencies, dtype=float)
     with np.errstate(all="ignore"):
@@ -288,8 +312,7 @@ def former_s21(frequencies, geometry, params, drive_port=1):
         strength = params.transduction_strength
         conductance = abs(strength) ** 2 * 0.02 * lobe**2 * aperture
         admittance = conductance + 1j * susceptance
-        reflection = (0.02 - admittance) / (0.02 + admittance)
-        magnitude = np.sqrt(np.maximum(0.0, 1.0 - np.abs(reflection) ** 2) / 2.0)
+        magnitude = np.sqrt(2.0 * 0.02 * conductance) / np.abs(0.02 + admittance)
         phase = strength / abs(strength) if strength != 0 else 0.0
         mu = magnitude * np.sign(lobe) * phase
         # The chain between the gratings, solved in closed form.

@@ -471,12 +471,16 @@ class TestDispersionCommand:
         value = float(line.split(":")[1])
         assert value == pytest.approx(5.876e6, rel=1e-3)
 
-    def test_water_loading(self):
-        result = run(["dispersion", "--liquid", "water"])
+    @pytest.mark.parametrize(
+        "liquid, velocity", [("water", 228.782132555), ("glycerol", 224.1820497)]
+    )
+    def test_liquid_loading(self, liquid, velocity):
+        result = run(["dispersion", "--liquid", liquid])
+        assert result.exit_status == 0
         line = next(
             l for l in result.summary if l.startswith("phase_velocity_m_s")
         )
-        assert float(line.split(":")[1]) == pytest.approx(228.782132555, rel=1e-8)
+        assert float(line.split(":")[1]) == pytest.approx(velocity, rel=1e-8)
 
     def test_unknown_liquid_lists_available(self):
         result = run(["dispersion", "--liquid", "oil"])

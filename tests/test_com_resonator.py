@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fpwsim import (
     ComParameters,
@@ -45,10 +45,12 @@ from fpwsim.com_resonator import (
 from conftest import WAVELENGTH
 from oracles import (
     bragg_reflection_magnitude,
+    capped_launch_magnitude,
     chain_elements,
     chain_s21,
     former_s21,
     grating_matrix,
+    launch_amplitude,
     lorentzian_magnitude,
     reference_csv,
     reference_sweep_csv,
@@ -204,59 +206,6 @@ class TestGratingProperties:
         assert abs(reflection) ** 2 + abs(transmission) ** 2 <= 1.0 + 1e-12
 
 
-class TestIdtMatrix:
-    def test_zero_transduction_decouples(self, bulk_geometry):
-        params = ComParameters(free_velocity=2400.0, transduction_strength=0.0)
-        freqs = np.linspace(0.9 * BULK_F0, 1.1 * BULK_F0, 201)
-        mu, _ = port_coupling(freqs, bulk_geometry, params)
-        assert np.all(mu == 0.0)
-        for port in (1, 2):
-            response = s21_sweep(bulk_geometry, params, points=201, drive_port=port)
-            assert response.gap_indices == ()
-            assert np.all(response.s21 == 0.0)
-
-    def test_array_factor_peak_and_nulls(self):
-        assert array_factor(BULK_F0, BULK_F0, 20) == 1.0
-        assert array_factor(57e6, BULK_F0, 20) == pytest.approx(0.0, abs=1e-12)
-        assert array_factor(63e6, BULK_F0, 20) == pytest.approx(0.0, abs=1e-12)
-
-    def test_idle_electrical_port_fully_reflects(self, bulk_geometry):
-        # Pure capacitance at zero transduction: |reflection| = 1.
-        params = ComParameters(free_velocity=2400.0, transduction_strength=0.0)
-        _, reflection = port_coupling([61e6], bulk_geometry, params)
-        assert abs(reflection[0]) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the |mu|^2 = (1 - |reflection|^2) / 2 cap cancels at weak "
-        "transduction (relative error 2.4e-3 here); ROADMAP item 2 removes it",
-    )
-    def test_weak_port_launch_amplitude_is_exact(self, bulk_geometry):
-        # 1 - |reflection|^2 = 4 Y0 G / |Y0 + Y|^2 exactly, so with no
-        # capacitance |mu| = sqrt(2 Y0 G) / (Y0 + G).
-        params = ComParameters(
-            free_velocity=2400.0, transduction_strength=1e-7,
-            static_capacitance_per_pair=0.0,
-        )
-        mu, _ = port_coupling([BULK_F0], bulk_geometry, params)
-        lobe = array_factor(BULK_F0, BULK_F0, bulk_geometry.idt_pairs)
-        aperture = bulk_geometry.overlap / REFERENCE_OVERLAP
-        conductance = 1e-14 * PORT_ADMITTANCE * lobe**2 * aperture
-        exact = math.sqrt(2.0 * PORT_ADMITTANCE * conductance) / (
-            PORT_ADMITTANCE + conductance
-        )
-        assert abs(mu[0]) == pytest.approx(exact, rel=1e-9, abs=0.0)
-
-
-def _s21_at(frequency, geometry, params, drive_port):
-    """Package S21 at exactly one frequency (the first point of a sweep)."""
-    response = s21_sweep(
-        geometry, params, frequency, frequency * 1.001, points=2,
-        drive_port=drive_port,
-    )
-    return response.s21[0]
-
-
 # The whole validated input space, within wide finite bounds.
 valid_geometries = st.builds(
     DeviceGeometry,
@@ -280,6 +229,116 @@ valid_parameters = st.builds(
     static_capacitance_per_pair=st.floats(0.0, 1e-10),
     attenuation=st.floats(0.0, 1e6),
 )
+
+
+@st.composite
+def _ports(draw, magnitudes=st.one_of(st.just(0.0), st.floats(1e-12, 0.999))):
+    """(frequency, geometry, params) over the validated geometry and
+    parameters, with a transduction magnitude drawn from ``magnitudes`` and
+    the frequency either in a window around the synchronous f0 or on an
+    array-factor null f0 (1 + m / N)."""
+    geometry = draw(valid_geometries)
+    magnitude = draw(magnitudes)
+    params = replace(
+        draw(valid_parameters),
+        transduction_strength=magnitude
+        * cmath.exp(1j * draw(st.floats(-math.pi, math.pi))),
+    )
+    f0 = params.center_frequency(geometry.wavelength)
+    pairs = geometry.idt_pairs
+    null = st.integers(1 - pairs, pairs).filter(bool)
+    frequency = draw(st.one_of(
+        st.floats(0.05, 2.0).map(lambda ratio: ratio * f0),
+        null.map(lambda m: f0 * (1.0 + m / pairs)),
+    ))
+    return frequency, geometry, params
+
+
+# The bundled bulk device at its m = 2 array-factor null, where the capped
+# form left |mu| at 3.2e-8 of its peak.
+BULK_NULL = (
+    66e6,
+    DeviceGeometry(wavelength=WAVELENGTH, grating_gap=design_spacing(0, WAVELENGTH)),
+    ComParameters(free_velocity=2400.0),
+)
+
+
+class TestIdtMatrix:
+    def test_zero_transduction_decouples(self, bulk_geometry):
+        params = ComParameters(free_velocity=2400.0, transduction_strength=0.0)
+        freqs = np.linspace(0.9 * BULK_F0, 1.1 * BULK_F0, 201)
+        mu = port_coupling(freqs, bulk_geometry, params)
+        assert np.all(mu == 0.0)
+        for port in (1, 2):
+            response = s21_sweep(bulk_geometry, params, points=201, drive_port=port)
+            assert response.gap_indices == ()
+            assert np.all(response.s21 == 0.0)
+
+    def test_array_factor_peak_and_nulls(self):
+        assert array_factor(BULK_F0, BULK_F0, 20) == 1.0
+        assert array_factor(57e6, BULK_F0, 20) == pytest.approx(0.0, abs=1e-12)
+        assert array_factor(63e6, BULK_F0, 20) == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_ports())
+    @example(case=BULK_NULL)
+    def test_launch_amplitude_matches_exact_form(self, case):
+        # The oracle takes the package's array factor, so this checks mu,
+        # not sinc, also at the nulls. 2 |mu|^2 = 1 - |reflection|^2 <= 1
+        # holds exactly in real arithmetic; rounding may add a few ulp.
+        frequency, geometry, params = case
+        mu = port_coupling([frequency], geometry, params)[0]
+        lobe = array_factor(
+            frequency, params.center_frequency(geometry.wavelength),
+            geometry.idt_pairs,
+        )
+        exact = launch_amplitude(frequency, float(lobe), geometry, params)
+        assert abs(mu - exact) <= 1e-12 * abs(exact)
+        assert 2.0 * abs(mu) ** 2 <= 1.0 + 1e-14
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_ports(st.floats(0.01, 0.999)))
+    @example(case=(BULK_F0, *BULK_NULL[1:]))
+    def test_capped_form_agrees_where_well_conditioned(self, case):
+        # The former |mu|^2 = (1 - |reflection|^2) / 2 cancels only as
+        # |reflection| -> 1; where the port accepts at least 1e-3 of the
+        # power, moving the oracles to the exact form changes nothing.
+        frequency, geometry, params = case
+        mu = port_coupling([frequency], geometry, params)[0]
+        lobe = array_factor(
+            frequency, params.center_frequency(geometry.wavelength),
+            geometry.idt_pairs,
+        )
+        capped, accepted = capped_launch_magnitude(
+            frequency, float(lobe), geometry, params
+        )
+        if accepted >= 1e-3:
+            assert abs(capped - abs(mu)) <= 1e-12 * abs(mu)
+
+    def test_weak_port_launch_amplitude_is_exact(self, bulk_geometry):
+        # 1 - |reflection|^2 = 4 Y0 G / |Y0 + Y|^2 exactly, so with no
+        # capacitance |mu| = sqrt(2 Y0 G) / (Y0 + G).
+        params = ComParameters(
+            free_velocity=2400.0, transduction_strength=1e-7,
+            static_capacitance_per_pair=0.0,
+        )
+        mu = port_coupling([BULK_F0], bulk_geometry, params)
+        lobe = array_factor(BULK_F0, BULK_F0, bulk_geometry.idt_pairs)
+        aperture = bulk_geometry.overlap / REFERENCE_OVERLAP
+        conductance = 1e-14 * PORT_ADMITTANCE * lobe**2 * aperture
+        exact = math.sqrt(2.0 * PORT_ADMITTANCE * conductance) / (
+            PORT_ADMITTANCE + conductance
+        )
+        assert abs(mu[0]) == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
+def _s21_at(frequency, geometry, params, drive_port):
+    """Package S21 at exactly one frequency (the first point of a sweep)."""
+    response = s21_sweep(
+        geometry, params, frequency, frequency * 1.001, points=2,
+        drive_port=drive_port,
+    )
+    return response.s21[0]
 
 
 class TestCascade:

@@ -35,11 +35,14 @@ class TestUnloadedVelocity:
             unloaded_velocity(6497.93, 0.1176) / 2.0, rel=1e-12
         )
 
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            unloaded_velocity(0.0, 1.0)
-        with pytest.raises(ValueError):
-            unloaded_velocity(1.0, -1.0)
+    @pytest.mark.parametrize(
+        "bending, areal_mass",
+        [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
+         (math.inf, 1.0), (1.0, math.inf)],
+    )
+    def test_invalid_inputs_rejected(self, bending, areal_mass):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            unloaded_velocity(bending, areal_mass)
 
 
 class TestEvanescentDecayLength:
@@ -52,9 +55,10 @@ class TestEvanescentDecayLength:
     def test_two_pi_wavelength_gives_unity(self):
         assert evanescent_decay_length(2 * math.pi) == pytest.approx(1.0)
 
-    def test_degenerate_input_rejected(self):
-        with pytest.raises(ValueError):
-            evanescent_decay_length(0.0)
+    @pytest.mark.parametrize("wavelength", [0.0, -1.0, math.nan, math.inf])
+    def test_degenerate_input_rejected(self, wavelength):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            evanescent_decay_length(wavelength)
 
 
 def _checked_operating_point(plate, density, viscosity, tension=0.0):
