@@ -274,6 +274,8 @@ def _cmd_fit(args) -> RunResult:
 def _cmd_invert(args) -> RunResult:
     if not math.isfinite(args.freq):
         raise UsageError(f"--freq must be a finite number, got {args.freq}")
+    if args.freq <= 0:
+        raise UsageError(f"--freq must be > 0, got {args.freq}")
     fit = _calibration(args)
     density, extrapolated = invert_density_calibrated(args.freq, fit)
     lines = [

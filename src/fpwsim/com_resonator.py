@@ -42,11 +42,12 @@ inputs still give byte-identical files.
 CSV export has a byte contract: every field is exactly ``"%.9e" % value``,
 so identical inputs give identical files. ``write_csv`` hands
 SWEEP_BLOCK_POINTS rows at a time to ``format_csv_rows``, which writes each
-field as three little-endian words looked up in digit and exponent tables
-built at import, from the scaled mantissa |x| 10^(9 - e) rounded to an
-integer. Values it cannot round exactly fall back to ``"%.9e" % value``:
-non-finite, zero, subnormal or outside [1e-280, 1e280] in magnitude, or
-with a mantissa whose fraction lies within 1e-4 of 1/2 or is >= 1e10 - 1.
+field with a two-digit exponent, |x| in [1e-99, 1e100), as three
+little-endian words looked up in digit and exponent tables built at import,
+from the scaled mantissa |x| 10^(9 - e) rounded to an integer. All other
+fields (non-finite, zero, outside that range, or with a mantissa whose
+fraction lies within 1e-4 of 1/2 or is >= 1e10 - 1) take the bytes of
+``"%.9e" % value`` in one vector pass over the block.
 An existing file is written over in place and then cut to length, not
 truncated when opened: on ext4, closing a file that was truncated to zero
 and written again starts writeback of the whole file inside close(). When
@@ -117,7 +118,7 @@ class DeviceGeometry:
     multiples of the wavelength. ``grating_strips = 0`` removes the
     gratings entirely (delay-line configuration). ``grating_gap`` is the
     spacing between each grating and its adjacent IDT, applied on both
-    sides.
+    sides. ``idt_pairs`` and ``grating_strips`` are whole numbers.
     """
 
     wavelength: float
@@ -130,10 +131,14 @@ class DeviceGeometry:
     def __post_init__(self):
         if not 0 < self.wavelength < math.inf:
             raise ValueError("wavelength must be > 0")
-        if self.idt_pairs < 1:
+        if not 1 <= self.idt_pairs < math.inf:
             raise ValueError("idt_pairs must be >= 1")
+        if int(self.idt_pairs) != self.idt_pairs:
+            raise ValueError("idt_pairs must be a whole number")
         if not 0 <= self.grating_strips < math.inf:
             raise ValueError("grating_strips must be >= 0")
+        if int(self.grating_strips) != self.grating_strips:
+            raise ValueError("grating_strips must be a whole number")
         if not 0 < self.overlap < math.inf:
             raise ValueError("overlap must be > 0")
         if not 0 <= self.idt_separation < math.inf:
@@ -564,9 +569,8 @@ _e = np.arange(-300, 301)  # the tables below are indexed by e + 300
 _fives = np.cumprod([1] + [5] * 300, dtype=object)  # exact integers 5^0 .. 5^300
 _POW10 = np.ldexp(np.concatenate([1 / _fives[:0:-1], _fives]).astype(float), _e)
 _m = np.abs(_e)
-_EXP_HI = (  # "e", sign, hundreds digit or NUL and tens digit at bytes 12-15
-    101 | np.where(_e < 0, 45, 43) << 8 | np.where(_m >= 100, 48 + _m // 100, 0) << 16
-    | (48 + _m // 10 % 10) << 24
+_EXP_HI = (  # "e", sign, NUL and tens digit at bytes 12-15: no hundreds digit
+    101 | np.where(_e < 0, 45, 43) << 8 | (48 + _m // 10 % 10) << 24
 ) << 32
 _EXP_LO = (48 + _m % 10 | 44 << 8).astype(np.uint16)  # units digit, ","
 _FIELD = np.dtype([("a", "<i8"), ("b", "<i8"), ("c", "<u2")])
@@ -580,22 +584,23 @@ def format_csv_rows(values) -> bytes:
     Each value fills an 18-byte field, three little-endian words of a
     structured array looked up in tables built at import: bytes 0-7 hold
     the optional sign, the first digit, ``.`` and five digits, bytes 8-15
-    four digits, ``e``, the exponent sign, its optional hundreds digit and
-    its tens digit, bytes 16-17 its units digit and the separator. Unused
-    bytes stay 0 and are dropped at the end. The ten significant digits
-    come from the mantissa m = |x| 10^(9 - e), with e = floor(log10 |x|)
-    corrected so that m lies in [1e9, 1e10), rounded to the nearest
-    integer. Its error is below 3e-6, so rounding m is exact unless m sits
-    near a half-way point. Values that are non-finite, zero, subnormal or
-    outside [1e-280, 1e280] in magnitude, or whose m has a fractional part
-    within 1e-4 of 1/2 or is at least 1e10 - 1, are formatted by
-    ``"%.9e" % value`` itself.
+    four digits, ``e``, the exponent sign, a NUL and the exponent's tens
+    digit, bytes 16-17 its units digit and the separator. Unused bytes stay
+    0 and are dropped at the end. The words hold values with a two-digit
+    exponent, |x| in [1e-99, 1e100). The ten significant digits come from
+    the mantissa m = |x| 10^(9 - e), with e = floor(log10 |x|) corrected so
+    that m lies in [1e9, 1e10), rounded to the nearest integer. Its error
+    is below 3e-6, so rounding m is exact unless m sits near a half-way
+    point. Every other value (non-finite, zero, outside that range, or
+    with a fractional part of m within 1e-4 of 1/2, or m at least 1e10 -
+    1) takes the first 17 bytes of its field from ``"%.9e" % value``, NUL
+    padded.
     """
     values = np.asarray(values, dtype=float)
     rows, columns = values.shape
     flat = values.reshape(-1)
     size = np.abs(flat)
-    fast = (size >= 1e-280) & (size <= 1e280)
+    fast = (size >= 1e-99) & (size < 1e100)
     size = np.where(fast, size, 1.0)
     exponent = np.floor(np.log10(size)).astype(np.intp)
     mantissa = size * _POW10[309 - exponent]  # 10^(9 - e)
@@ -624,10 +629,9 @@ def format_csv_rows(values) -> bytes:
     packed["c"] = _EXP_LO[exponent]
     grid = packed.view(np.uint8).reshape(flat.size, 18)
     grid.reshape(rows, columns, 18)[:, -1, 17] = ord("\n")
-    for i in np.flatnonzero(~fast):
-        text = b"%.9e" % flat[i]
-        grid[i, :17] = 0
-        grid[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    slow = np.flatnonzero(~fast)
+    texts = b"".join([(b"%.9e" % x).ljust(17, b"\0") for x in flat[slow].tolist()])
+    grid[slow, :17] = np.frombuffer(texts, dtype=np.uint8).reshape(-1, 17)
     return grid.tobytes().translate(None, b"\0")
 
 

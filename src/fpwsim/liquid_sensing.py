@@ -161,8 +161,11 @@ def invert_density_calibrated(
     """Density (kg/m^3) from a measured frequency via the calibration line.
 
     Returns (density, extrapolated); ``extrapolated`` is True when the
-    frequency lies outside the calibrated range.
+    frequency lies outside the calibrated range. The frequency must be
+    finite and > 0.
     """
+    if not 0 < frequency < math.inf:
+        raise ValueError("measured frequency must be finite and > 0")
     if fit.slope == 0.0:
         raise DegenerateFitError("calibration slope is zero; cannot invert")
     density = (frequency - fit.intercept) / fit.slope

@@ -747,6 +747,8 @@ class TestMainEntryPoint:
         (["s21", "--tension", "inf", "--out", "{out}"], "finite"),
         (["invert", "--freq", "nan", "--points", "{bad}"], "--freq"),
         (["invert", "--freq", "inf", "--points", "{bad}"], "--freq"),
+        (["invert", "--freq", "0", "--points", "{bad}"], "--freq"),
+        (["invert", "--freq", "-1", "--points", "{bad}"], "--freq"),
         (["dispersion", "--sweep-out", "{out}", "--sweep-densities", "1:inf:3"],
          "finite"),
         (["dispersion", "--sweep-out", "{out}", "--sweep-densities", "nan:1:3"],
@@ -755,7 +757,8 @@ class TestMainEntryPoint:
     ids=["fit-bad-points", "invert-bad-points", "bad-liquids", "one-point",
          "reversed-window", "dispersion-negative-tension",
          "s21-negative-tension", "nan-tension", "inf-tension",
-         "s21-inf-tension", "nan-freq", "inf-freq", "inf-sweep-bound",
+         "s21-inf-tension", "nan-freq", "inf-freq", "zero-freq",
+         "negative-freq", "inf-sweep-bound",
          "nan-sweep-bound"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):

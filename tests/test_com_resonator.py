@@ -767,6 +767,20 @@ class TestCsvExport:
         column = np.array([value, -value])[:, None]
         assert format_csv_rows(column) == _percent_formatted(column.tolist())
 
+    @pytest.mark.parametrize(
+        "value",
+        [1e-99, 9.99999999995e-100, 9.9999999995e-100, 1e-100,
+         9.9999999995e99, 9.99999999995e99, 1e100, 1e99, 1e-98],
+    )
+    def test_two_digit_exponent_bounds_match_percent_format(self, value):
+        # The packed words hold |x| in [1e-99, 1e100); the neighbours of
+        # each bound and the values rounding across it take "%.9e" itself.
+        column = np.array(
+            [value, np.nextafter(value, 0), np.nextafter(value, math.inf)]
+        )[:, None]
+        column = np.vstack([column, -column])
+        assert format_csv_rows(column) == _percent_formatted(column.tolist())
+
     @settings(max_examples=150, deadline=None)
     @given(
         rows=st.integers(1, 3000),
@@ -849,6 +863,26 @@ class TestCsvExport:
             assert (tmp_path / "kernel.csv").read_bytes() == (
                 tmp_path / "oracle.csv"
             ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"transduction_strength": 0.0}, {"attenuation": 1e6}],
+        ids=["zero-transduction", "all-gaps"],
+    )
+    def test_sweep_csv_of_whole_fallback_blocks(
+        self, bulk_geometry, bulk_params, tmp_path, change
+    ):
+        # Every s21 field of all three writer blocks is one the packed words
+        # do not hold: +-0 in re and im with -inf dB, or nan in all three.
+        response = s21_sweep(
+            bulk_geometry, replace(bulk_params, **change), points=4501
+        )
+        assert np.all((response.s21 == 0) | np.isnan(response.s21))
+        write_sweep_csv(response, tmp_path / "kernel.csv")
+        reference_sweep_csv(response, tmp_path / "oracle.csv")
+        assert (tmp_path / "kernel.csv").read_bytes() == (
+            tmp_path / "oracle.csv"
+        ).read_bytes()
 
 
 def _columns(rows):
@@ -1008,6 +1042,10 @@ class TestGeometryValidation:
             DeviceGeometry(wavelength=WAVELENGTH, idt_pairs=0)
         with pytest.raises(ValueError):
             DeviceGeometry(wavelength=WAVELENGTH, grating_strips=-1)
+        with pytest.raises(ValueError, match="idt_pairs must be a whole"):
+            DeviceGeometry(wavelength=WAVELENGTH, idt_pairs=2.5)
+        with pytest.raises(ValueError, match="grating_strips must be a whole"):
+            DeviceGeometry(wavelength=WAVELENGTH, grating_strips=1.5)
 
     def test_com_parameter_ranges(self):
         with pytest.raises(ValueError):
@@ -1020,8 +1058,8 @@ class TestGeometryValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "name",
-        ["wavelength", "grating_strips", "overlap", "idt_separation",
-         "grating_gap"],
+        ["wavelength", "idt_pairs", "grating_strips", "overlap",
+         "idt_separation", "grating_gap"],
     )
     def test_geometry_refuses_non_finite(self, name, value):
         with pytest.raises(ValueError, match=name):

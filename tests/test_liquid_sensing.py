@@ -181,6 +181,16 @@ class TestInvertDensityCalibrated:
         with pytest.raises(ValueError):
             invert_density_calibrated(5e6, fit)
 
+    @pytest.mark.parametrize(
+        "frequency", [math.nan, math.inf, -math.inf, 0.0, -5e6]
+    )
+    def test_refuses_non_finite_and_non_positive_frequency(self, frequency):
+        fit = fit_density_sensitivity(CALIBRATION_POINTS)
+        with pytest.raises(
+            ValueError, match="measured frequency must be finite and > 0"
+        ):
+            invert_density_calibrated(frequency, fit)
+
     def test_line_evaluation_round_trip(self):
         fit = fit_density_sensitivity(CALIBRATION_POINTS)
         for density in (700.0, 950.0, 1333.0):
