@@ -107,21 +107,25 @@ def _pick_liquid(args) -> LiquidSample | None:
     return library[name]
 
 
-def _loading(args, liquid: LiquidSample | None, plate, wavelength) -> LoadingState:
+def _loading(args, liquid: LiquidSample | None, plate, wavelength):
+    """``(loading, solution)`` at --tension and the liquid. A non-finite
+    velocity names --tension if the inviscid one overflows too (the viscous
+    term only slows the wave), else the liquid density."""
     try:
         loading = LoadingState(tension=args.tension, liquid=liquid)
     except ValueError as exc:
         raise UsageError(f"--tension {args.tension}: {exc}") from None
-    # The liquid only adds mass and the viscous term only slows the wave, so
-    # a finite inviscid velocity keeps the loaded one finite.
-    density = liquid.density if liquid is not None else 0.0
-    velocity, _ = _phase_velocity(plate, wavelength, args.tension, density, 0.0)
-    if not math.isfinite(velocity):
-        raise UsageError(
-            f"--tension {args.tension}: the loaded velocity "
-            "sqrt((T + B) / (M + rho delta_E)) overflows"
-        )
-    return loading
+    solution = loaded_velocity(plate, loading, wavelength)
+    if not math.isfinite(solution.phase_velocity):
+        density = liquid.density if liquid is not None else 0.0
+        inviscid, _ = _phase_velocity(plate, wavelength, args.tension, density, 0.0)
+        if not math.isfinite(inviscid):
+            raise UsageError(
+                f"--tension {args.tension}: the loaded velocity "
+                "sqrt((T + B) / (M + rho delta_E)) overflows"
+            )
+        _refuse_non_finite(density)
+    return loading, solution
 
 
 def _cmd_plate(args) -> RunResult:
@@ -149,10 +153,7 @@ def _cmd_dispersion(args) -> RunResult:
     plate = cfg.plate()
     liquid = _pick_liquid(args)
     wavelength = cfg.geometry.wavelength
-    loading = _loading(args, liquid, plate, wavelength)
-    solution = loaded_velocity(plate, loading, wavelength)
-    if not math.isfinite(solution.phase_velocity):
-        _refuse_non_finite(liquid.density)  # dry: finite, see _loading
+    loading, solution = _loading(args, liquid, plate, wavelength)
     s_m, s_t = sensitivities(plate, loading, wavelength)
     lines = [
         f"liquid: {liquid.name if liquid else 'none'}",
@@ -221,7 +222,7 @@ def _cmd_s21(args) -> RunResult:
         sweep = partial(
             fpw_device_response,
             plate,
-            _loading(args, liquid, plate, geometry.wavelength),
+            _loading(args, liquid, plate, geometry.wavelength)[0],
             geometry,
             cfg.com_parameters(free_velocity=1.0),
             *window,
@@ -235,17 +236,18 @@ def _cmd_s21(args) -> RunResult:
         raise UsageError(str(exc)) from None
 
     write_sweep_csv(response, args.out)
-    lines = [
-        f"mode: {mode}",
-        f"points: {len(response.frequencies)}",
-        f"csv: {args.out}",
-    ]
+    points = len(response.frequencies)
+    lines = [f"mode: {mode}", f"points: {points}", f"csv: {args.out}"]
     if response.gap_indices:
         lines.append(
             f"warning: {len(response.gap_indices)} singular sweep points "
             "recorded as gaps"
         )
-    summary = find_resonance(response)
+    try:
+        summary = find_resonance(response)
+    except NoResonanceError as exc:
+        written = f"{points} sweep points written to {args.out}"
+        raise NoResonanceError(f"{exc}; {written}") from None
     lines += [
         f"peak_frequency_hz: {_NUM % summary.peak_frequency}",
         f"peak_magnitude: {_NUM % summary.peak_magnitude}",

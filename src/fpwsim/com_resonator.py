@@ -33,29 +33,11 @@ few band-edge points with |sigma l| < 0.5, where that difference cancels
 and np.cosh and np.sinh are used. Each point thus costs one complex exp
 and one complex sqrt. A point whose solve is singular (zero or non-finite
 denominator, or a non-finite result, as when extreme attenuation
-overflows) becomes a NaN gap. S21 agrees with the former per-point
-transcendentals to about 1e-12 of the peak on reference-like designs (at
-high-finesse resonances both forms hold only about 1e-11), so a printed
-CSV field may differ from earlier versions in its last digit; identical
-inputs still give byte-identical files.
+overflows) becomes a NaN gap.
 
-CSV export has a byte contract: every field is exactly ``"%.9e" % value``,
-so identical inputs give identical files. ``write_csv`` hands
-SWEEP_BLOCK_POINTS rows at a time to ``format_csv_rows``, which writes each
-field with a two-digit exponent, |x| in [1e-99, 1e100), as three
-little-endian words looked up in digit and exponent tables built at import,
-from the scaled mantissa |x| 10^(9 - e) rounded to an integer. All other
-fields (non-finite, zero, outside that range, or with a mantissa whose
-fraction lies within 1e-4 of 1/2 or is >= 1e10 - 1) take the bytes of
-``"%.9e" % value`` in one vector pass over the block.
-An existing file is written over in place and then cut to length, not
-truncated when opened: on ext4, closing a file that was truncated to zero
-and written again starts writeback of the whole file inside close(). When
-``write_csv`` returns the file holds exactly the new bytes; after any
-exception, KeyboardInterrupt included, exactly the new bytes written so
-far, as a truncating open leaves them. Only a hard kill mid-write differs:
-it leaves the new head followed by the old file's tail, where a truncating
-open left the new head alone. Neither form is atomic or synced to disk.
+CSV export: ``format_csv_rows`` states the byte contract, every field
+exactly ``"%.9e" % value``, and ``write_csv`` how an existing file is
+rewritten in place.
 
 Conventions: time factor exp(+i omega t), forward propagation phase
 exp(-i beta x). A grating strip sits every half wavelength, so a grating
@@ -579,7 +561,8 @@ del _e, _m, _fives
 
 def format_csv_rows(values) -> bytes:
     """CSV bytes of a 2-D float array: one line per row, fields joined by
-    commas, each field exactly the bytes of ``"%.9e" % value``.
+    commas, each field exactly the bytes of ``"%.9e" % value``, so identical
+    inputs give identical files.
 
     Each value fills an 18-byte field, three little-endian words of a
     structured array looked up in tables built at import: bytes 0-7 hold
@@ -645,7 +628,9 @@ def write_csv(path, header: str, columns) -> None:
     equal-length 1-D ``columns``, SWEEP_BLOCK_POINTS rows at a time.
 
     An existing file is written over in place and then cut to the length
-    written, so when this returns the file holds exactly the new bytes.
+    written, not truncated when opened: on ext4, closing a file that was
+    truncated to zero and written again starts writeback of the whole file
+    inside close(). When this returns the file holds exactly the new bytes.
     After any exception, KeyboardInterrupt included, it holds exactly the
     new bytes written so far, as a truncating open would leave it. Only a
     hard kill mid-write differs: the file then holds the new head followed
@@ -679,9 +664,8 @@ def write_sweep_csv(response: FrequencyResponse, path) -> None:
     """Export a sweep as CSV: ``f_hz,s21_re,s21_im,s21_db``, one row per
     point.
 
-    Byte contract: every field is exactly ``"%.9e" % value`` (``nan`` in
-    gap rows, ``-inf`` dB where S21 is exactly 0), so identical inputs give
-    identical files (see ``format_csv_rows``).
+    Fields are written by ``format_csv_rows``: ``nan`` in gap rows, and
+    ``-inf`` dB where S21 is exactly 0.
     """
     s21 = response.s21
     write_csv(

@@ -54,7 +54,8 @@ _SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
     "override": dict.fromkeys(OVERRIDABLE_PARAMETERS, finite_float),
 }
 _LAYER_REQUIRED = {f.name for f in fields(MaterialLayer) if f.default is MISSING}
-_SPACING = {"spacing_index", "grating_gap"}  # either one, not both
+_SPACING = {"spacing_index", "grating_gap"}
+_SPACING_CONFLICT = "specify either [geometry] spacing_index or grating_gap, not both"
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str, str]]:
@@ -104,24 +105,23 @@ def _add_layer(layers: dict[int, MaterialLayer], entries: dict, lineno: int) -> 
         raise ConfigError(str(exc), lineno) from None
 
 
-def _key_check(section: str, key: str, entries: dict) -> Callable[[], object]:
-    """Check of one [geometry]/[com] value alone, stand-ins (wavelength and
-    velocity 1.0) filling the rest. The later of two gap keys conflicts."""
+def _key_check(section: str, key: str, entries: dict, lineno: int) -> None:
+    """Refuse at its line a [geometry]/[com] value that fails alone, with
+    stand-ins (wavelength and velocity 1.0) filling the rest. The later of
+    two gap keys conflicts."""
     value = entries[key]
-    if key in _SPACING and _SPACING <= entries.keys():
-        return _spacing_conflict
-    if key == "spacing_index":
-        return partial(design_spacing, value, 1.0)
-    if section == "geometry":
-        return partial(DeviceGeometry, **{"wavelength": 1.0, key: value})
-    key = "free_velocity" if key == "velocity" else key
-    return partial(ComParameters, **{"free_velocity": 1.0, key: value})
-
-
-def _spacing_conflict():
-    raise ValueError(
-        "specify either [geometry] spacing_index or grating_gap, not both"
-    )
+    try:
+        if key in _SPACING and _SPACING <= entries.keys():
+            raise ValueError(_SPACING_CONFLICT)
+        if key == "spacing_index":
+            design_spacing(value, 1.0)
+        elif section == "geometry":
+            DeviceGeometry(**{"wavelength": 1.0, key: value})
+        else:
+            key = "free_velocity" if key == "velocity" else key
+            ComParameters(**{"free_velocity": 1.0, key: value})
+    except ValueError as exc:
+        raise ConfigError(str(exc), lineno) from None
 
 
 def _designed_geometry(entries: dict, index: int) -> DeviceGeometry:
@@ -152,13 +152,13 @@ def _blame(error: ValueError, steps: list[tuple]) -> NoReturn:
 def parse_device_config(text: str) -> DeviceConfig:
     """Parse and validate a device configuration.
 
-    A malformed line is refused at its line. A refused value is reported
-    with the line and the message of the first failing step: each
-    [geometry]/[com] key alone in line order (the later of spacing_index and
-    grating_gap conflicts), the grating gap designed from spacing_index, each
-    [layer] alone at the wavelength, the stack grown a [layer] at a time,
-    the unpinned stack at the wavelength (its line), then the [override]
-    pins added in line order.
+    Each line is refused at its line, in file order: a malformed line, a
+    [geometry]/[com] value on its own (the later of spacing_index and
+    grating_gap conflicts), a [layer]'s fields (at its [layer] line). A
+    whole-device refusal then names the line of the first failing step: the
+    grating gap designed from spacing_index, each [layer] alone at the
+    wavelength, the stack grown a [layer] at a time, the unpinned stack at
+    the wavelength (its line), then the [override] pins in line order.
     """
     sections: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
     layers: dict[int, MaterialLayer] = {}  # by the line of their [layer]
@@ -166,7 +166,6 @@ def parse_device_config(text: str) -> DeviceConfig:
     section_lineno = 0
     entries: dict[str, object] = {}
     key_lines: dict[tuple[str, str], int] = {}
-    steps: list[tuple[int | None, Callable]] = []  # [geometry]/[com] keys
 
     for lineno, raw, line in content_lines(text):
         if line.startswith("[") and line.endswith("]"):
@@ -201,7 +200,7 @@ def parse_device_config(text: str) -> DeviceConfig:
                 f"malformed {number} {value!r} for key {key!r}", lineno
             ) from None
         if section in ("geometry", "com"):
-            steps.append((lineno, _key_check(section, key, entries)))
+            _key_check(section, key, entries, lineno)
     if section == "layer":
         _add_layer(layers, entries, section_lineno)
 
@@ -212,8 +211,6 @@ def parse_device_config(text: str) -> DeviceConfig:
     index = geometry.pop("spacing_index", 0)
     design = partial(_designed_geometry, geometry, index)
     try:
-        for _, check in steps:
-            check()
         device_geometry = design()
         if layers:
             _wave_constants(stack, overrides, wavelength)
@@ -222,7 +219,6 @@ def parse_device_config(text: str) -> DeviceConfig:
         pin_lines += [key_lines["override", key] for key in overrides]
         pins = [*overrides.items()]
         _blame(exc, [
-            *steps,
             (key_lines.get(("geometry", "spacing_index")), design),
             *[(n, partial(_wave_constants, [layer], {}, wavelength))
               for n, layer in layers.items()],

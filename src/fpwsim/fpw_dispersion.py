@@ -196,11 +196,6 @@ def loaded_velocity(
     return VelocitySolution(v, m_eta, wavelength, liquid)
 
 
-def mass_sensitivity(areal_mass: float, liquid_density: float, delta_e: float) -> float:
-    """Relative velocity change per unit liquid density (m^3/kg)."""
-    return -delta_e / (2.0 * (areal_mass + liquid_density * delta_e))
-
-
 def tension_sensitivity(tension: float, bending: float) -> float:
     """Relative velocity change per unit in-plane tension (m/N)."""
     return 1.0 / (2.0 * (tension + bending))
@@ -217,9 +212,8 @@ def sensitivities(
     """
     bending, delta_e, _ = plate.wave_constants(wavelength)
     rho = loading.liquid.density if loading.liquid is not None else 0.0
-    s_m = mass_sensitivity(plate.mass_per_area, rho, delta_e)
-    s_t = tension_sensitivity(loading.tension, bending)
-    return s_m, s_t
+    s_m = -delta_e / (2.0 * (plate.mass_per_area + rho * delta_e))
+    return s_m, tension_sensitivity(loading.tension, bending)
 
 
 def density_from_frequency(
@@ -248,12 +242,10 @@ def density_from_frequency(
         raise ValueError("assumed viscosity must be finite and >= 0")
     if not 0 <= tension < math.inf:
         raise ValueError("tension must be finite and >= 0")
-    bending, delta_e, v0 = plate.wave_constants(wavelength)
+    bending, delta_e, _ = plate.wave_constants(wavelength)
     stiffness = tension + bending
     areal_mass = plate.mass_per_area
-    if tension:  # else stiffness is the bending term, and v0 is known
-        v0 = math.sqrt(stiffness / areal_mass)
-    unloaded_f = v0 / wavelength
+    unloaded_f = math.sqrt(stiffness / areal_mass) / wavelength
     if measured_frequency >= unloaded_f:
         raise NoSolutionError(
             f"measured frequency {measured_frequency:.6g} Hz is not below the "

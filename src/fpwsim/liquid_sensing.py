@@ -257,8 +257,10 @@ def load_liquid_library(text: str) -> dict[str, LiquidSample]:
     """Parse a liquid library: one ``name density viscosity`` per line.
 
     Densities in kg/m^3, viscosities in Pa*s; ``#`` starts a comment.
+    Names are case-insensitive, and a repeated name is refused.
     """
     liquids: dict[str, LiquidSample] = {}
+    first_lines: dict[str, int] = {}
     for lineno, raw, line in content_lines(text):
         fields = line.split()
         if len(fields) != 3:
@@ -267,6 +269,12 @@ def load_liquid_library(text: str) -> dict[str, LiquidSample]:
                 f"viscosity', got {raw!r}"
             )
         name = fields[0].lower()
+        first = first_lines.setdefault(name, lineno)
+        if first != lineno:
+            raise ValueError(
+                f"liquid library line {lineno}: duplicate liquid name "
+                f"{fields[0]!r}, first on line {first}"
+            )
         try:
             density = finite_float(fields[1])
             viscosity = finite_float(fields[2])

@@ -1,4 +1,5 @@
 import errno
+import itertools
 import os
 import re
 import tempfile
@@ -50,6 +51,28 @@ def points_file(tmp_path):
     path = tmp_path / "points.txt"
     path.write_text(CALIBRATION_FILE)
     return str(path)
+
+
+# Faults the bundled config refuses at one line, in file order: (id, text,
+# faulty text, line named). A [layer] is named at its header; None appends.
+_LINE_FAULTS = [
+    ("layer-field", "poisson_ratio = 0.27", "poisson_ratio = 0.7", 4),
+    ("layer-malformed", "density = 7600", "density = 76OO", 16),
+    ("geometry-value", "idt_pairs = 20", "idt_pairs = 0", 20),
+    ("geometry-unknown-key", "idt_separation = 10", "idt_seperation = 10", 23),
+    ("com-value", "transduction_strength = 0.4", "transduction_strength = 2", 30),
+    ("com-malformed", "attenuation = 0.0", "attenuation = none", 32),
+    ("override-unknown-key", "mass_per_area = ", "mass_per_aera = ", 35),
+    ("appended-layer-field", None, "[layer]\nthickness = -1\n"
+     "young_modulus = 1e11\npoisson_ratio = 0.3\ndensity = 3000\n", 36),
+]
+
+
+def _with_faults(*faults) -> str:
+    text = _bundled("reference_device.cfg")
+    for _, old, new, _ in faults:
+        text = text + new if old is None else text.replace(old, new, 1)
+    return text
 
 
 class TestParseDeviceConfig:
@@ -142,6 +165,19 @@ class TestParseDeviceConfig:
     def test_layer_error_reported_before_later_lines(self, text, first_error):
         with pytest.raises(ConfigError, match=first_error):
             parse_device_config(text)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [pytest.param(a, b, id=f"{a[0]}+{b[0]}")
+         for a, b in itertools.combinations(_LINE_FAULTS, 2)],
+    )
+    def test_earlier_of_two_line_faults_is_named(self, first, second):
+        with pytest.raises(ConfigError) as alone:
+            parse_device_config(_with_faults(first))
+        assert alone.value.lineno == first[3]
+        with pytest.raises(ConfigError) as both:
+            parse_device_config(_with_faults(first, second))
+        assert str(both.value) == str(alone.value)
 
     def test_every_dataclass_field_is_a_key(self):
         # Distinct values, so one landing in the wrong field shows; the
@@ -534,8 +570,10 @@ class TestDispersionCommand:
             (["--liquids", "{goo}", "dispersion", "--liquid", "goo"], "1e+250"),
             (["dispersion", "--liquid", "glycerol", "--sweep-out", "{out}",
               "--sweep-densities", "1:1.7e308:3"], "8.5e+307"),
+            (["--liquids", "{goo}", "s21", "--liquid", "goo", "--out", "{out}"],
+             "1e+250"),
         ],
-        ids=["summary", "sweep"],
+        ids=["summary", "sweep", "s21"],
     )
     def test_overflowing_density_exits_1_naming_it(
         self, tmp_path, capsys, argv, density
@@ -653,6 +691,30 @@ class TestS21Command:
         assert status == 1
         assert "error: response contains no finite points" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["s21", "--bulk", "--f-start", "54e6", "--f-stop", "55e6"],
+            ["--config", "{lossy}", "s21", "--bulk"],
+        ],
+        ids=["monotone-window", "overflowing-attenuation"],
+    )
+    def test_no_resonance_error_names_the_csv(self, tmp_path, capsys, argv):
+        lossy, out = tmp_path / "lossy.cfg", tmp_path / "sweep.csv"
+        lossy.write_text(
+            _bundled("reference_device.cfg").replace(
+                "attenuation = 0.0", "attenuation = 1e6"
+            )
+        )
+        argv = [a.format(lossy=lossy) for a in argv]
+        status = main([*argv, "--points", "51", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith(f"; 51 sweep points written to {out}\n")
+        assert len(out.read_text().splitlines()) == 52
 
     def test_gap_at_crossing_never_prints_nan(
         self, tmp_path, capsys, monkeypatch
@@ -772,6 +834,19 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
     assert status == 2
     assert captured.err.startswith("error: ")
     assert message in captured.err
+
+
+def test_repeated_liquid_name_exits_2(tmp_path, capsys):
+    library = tmp_path / "liquids.txt"
+    library.write_text("water 1000 0.001\nWater 2000 0.5\n")
+    status = main(["--liquids", str(library), "dispersion", "--liquid", "water"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: liquid library {library}: liquid library line 2: duplicate "
+        "liquid name 'Water', first on line 1\n"
+    )
 
 
 @pytest.mark.parametrize(

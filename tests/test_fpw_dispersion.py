@@ -15,7 +15,7 @@ from fpwsim import (
     sensitivities,
     unloaded_velocity,
 )
-from fpwsim.fpw_dispersion import _phase_velocity, mass_sensitivity, tension_sensitivity
+from fpwsim.fpw_dispersion import _phase_velocity, tension_sensitivity
 from conftest import PUBLISHED, WAVELENGTH
 from oracles import bisect_density, bisect_loaded_velocity, closed_form_density
 
@@ -299,15 +299,16 @@ class TestSensitivities:
             PUBLISHED["tension_sensitivity"], rel=5e-3
         )
 
-    def test_mass_sensitivity_water_loaded(self):
+    def test_mass_sensitivity_water_loaded(self, pinned_plate):
         # Frozen hand evaluation at the pinned areal mass.
-        assert mass_sensitivity(0.1176, 1000.0, DELTA_E) == pytest.approx(
+        loading = LoadingState(0.0, LiquidLoad(1000.0))
+        assert sensitivities(pinned_plate, loading, WAVELENGTH)[0] == pytest.approx(
             -2.56771516775e-05, rel=1e-9, abs=0.0
         )
 
-    def test_dry_limit(self):
-        assert mass_sensitivity(0.1176, 0.0, DELTA_E) == pytest.approx(
-            -DELTA_E / (2 * 0.1176), rel=1e-12, abs=0.0
+    def test_dry_limit(self, pinned_plate):
+        assert sensitivities(pinned_plate, LoadingState(), WAVELENGTH)[0] == (
+            pytest.approx(-DELTA_E / (2 * 0.1176), rel=1e-12, abs=0.0)
         )
 
     def test_matches_finite_differences(self, pinned_plate):

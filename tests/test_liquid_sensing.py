@@ -542,6 +542,15 @@ class TestLiquidLibrary:
             load_liquid_library(text)
 
 
+    def test_repeated_name_rejected_naming_the_first(self):
+        text = "water 1000 0.001\n# tap water\nWater 2000 0.5\n"
+        with pytest.raises(ValueError, match=(
+            "^liquid library line 3: duplicate liquid name 'Water', "
+            "first on line 1$"
+        )):
+            load_liquid_library(text)
+
+
 class TestDomainTypes:
     def test_liquid_sample_validation(self):
         with pytest.raises(ValueError):
