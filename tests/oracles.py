@@ -159,9 +159,15 @@ def launch_amplitude(frequency, lobe, geometry, params):
     port_admittance = 0.02
     aperture = geometry.overlap / 50.0
     capacitance = params.static_capacitance_per_pair * geometry.idt_pairs * aperture
-    conductance = abs(strength) ** 2 * port_admittance * lobe**2 * aperture
-    admittance = complex(conductance, 2.0 * math.pi * frequency * capacitance)
-    magnitude = math.sqrt(2.0 * port_admittance * conductance) / abs(
+    # sqrt(G) from its factors: squaring a transduction below ~1e-154
+    # would flush G, and with it mu, to zero.
+    root_conductance = (
+        abs(strength) * abs(lobe) * math.sqrt(port_admittance * aperture)
+    )
+    admittance = complex(
+        root_conductance**2, 2.0 * math.pi * frequency * capacitance
+    )
+    magnitude = math.sqrt(2.0 * port_admittance) * root_conductance / abs(
         port_admittance + admittance
     )
     return magnitude * math.copysign(1.0, lobe) * strength / abs(strength)
@@ -280,7 +286,8 @@ def former_s21(frequencies, geometry, params, drive_port=1):
     transcendentals per point (np.sqrt, np.sinh and np.cosh of the grating,
     three np.exp of the spacings and the half IDT, np.sinc of the array
     factor), each evaluated at every frequency, with the launch amplitude
-    in its exact form sqrt(2 Y0 G) / |Y0 + Y|. NaN where the solve is
+    in its exact form sqrt(2 Y0 G) / |Y0 + Y|, sqrt(G) taken from its
+    factors as in ``launch_amplitude``. NaN where the solve is
     singular (zero or non-finite M[0, 0], or a non-finite result)."""
     f = np.asarray(frequencies, dtype=float)
     with np.errstate(all="ignore"):
@@ -310,9 +317,13 @@ def former_s21(frequencies, geometry, params, drive_port=1):
         )
         susceptance = 2.0 * math.pi * f * capacitance
         strength = params.transduction_strength
-        conductance = abs(strength) ** 2 * 0.02 * lobe**2 * aperture
-        admittance = conductance + 1j * susceptance
-        magnitude = np.sqrt(2.0 * 0.02 * conductance) / np.abs(0.02 + admittance)
+        root_conductance = (
+            abs(strength) * np.abs(lobe) * math.sqrt(0.02 * aperture)
+        )
+        admittance = root_conductance**2 + 1j * susceptance
+        magnitude = (
+            math.sqrt(2.0 * 0.02) * root_conductance / np.abs(0.02 + admittance)
+        )
         phase = strength / abs(strength) if strength != 0 else 0.0
         mu = magnitude * np.sign(lobe) * phase
         # The chain between the gratings, solved in closed form.

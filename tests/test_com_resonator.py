@@ -593,6 +593,22 @@ class TestStepTableSweep:
         ),
         drive_port=st.sampled_from([1, 2]),
     )
+    # A transduction of 4e-161 puts S21 at ~5e-323: the oracle must not
+    # flush it to zero by squaring the transduction.
+    @example(
+        geometry=DeviceGeometry(
+            wavelength=1e-3, idt_pairs=1, grating_strips=0, overlap=1.0,
+            idt_separation=0.0, grating_gap=0.0,
+        ),
+        params=ComParameters(
+            free_velocity=10.0, strip_reflectivity=0.0, reflection_phase=0.0,
+            transduction_strength=4.138876610419443e-161,
+            static_capacitance_per_pair=0.0, attenuation=0.0,
+        ),
+        points=2,
+        window=None,
+        drive_port=1,
+    )
     def test_matches_former_closed_form(
         self, geometry, params, points, window, drive_port
     ):
