@@ -80,12 +80,17 @@ def _load_config(args) -> DeviceConfig:
     return parse_device_config(text)
 
 
-def _calibration(args) -> CalibrationFit:
+def _read(path: str, parse):
+    """``parse`` of the text of the file at ``path``; a ValueError, a
+    refused row included, is raised as a UsageError naming the path."""
     try:
-        points = parse_calibration_points(Path(args.points).read_text())
+        return parse(Path(path).read_text())
     except ValueError as exc:
-        raise UsageError(f"{args.points}: {exc}") from None
-    return fit_density_sensitivity(points)
+        raise UsageError(f"{path}: {exc}") from None
+
+
+def _calibration(args) -> CalibrationFit:
+    return fit_density_sensitivity(_read(args.points, parse_calibration_points))
 
 
 def _pick_liquid(args) -> LiquidSample | None:
@@ -93,11 +98,7 @@ def _pick_liquid(args) -> LiquidSample | None:
         return None
     library = PRESET_LIQUIDS
     if args.liquids is not None:
-        text = Path(args.liquids).read_text()
-        try:
-            library = load_liquid_library(text)
-        except ValueError as exc:
-            raise UsageError(f"liquid library {args.liquids}: {exc}") from None
+        library = _read(args.liquids, load_liquid_library)
     name = args.liquid.lower()
     if name not in library:
         raise UsageError(
@@ -212,6 +213,11 @@ def _cmd_s21(args) -> RunResult:
     geometry = cfg.geometry
     window = (args.f_start, args.f_stop, args.points)
     if args.bulk:
+        for option, given in (("--liquid", args.liquid is not None),
+                              ("--tension", args.tension != 0),
+                              ("--viscous-loss", args.viscous_loss)):
+            if given:
+                raise UsageError(f"{option} applies only to fpw sweeps, not --bulk")
         if cfg.com_velocity is None:
             raise UsageError("--bulk requires a [com] velocity in the config")
         sweep = partial(s21_sweep, geometry, cfg.com_parameters(), *window)

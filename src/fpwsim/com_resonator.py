@@ -545,18 +545,15 @@ _QUAD = (  # "%04d" % n
 ).ravel()
 # "d.d" of n at bytes 1-3; n = 100 comes only from fallback values.
 _LEAD = np.append((_DIGITS[:, None] << 8 | 46 << 16 | _DIGITS << 24).ravel(), 0)
-_e = np.arange(-300, 301)  # the tables below are indexed by e + 300
-# Correctly rounded 10^e (10.0**e is not, for some e): 5^|e| rounded once by
-# int true division or int-to-float conversion, then scaled exactly by 2^e.
-_fives = np.cumprod([1] + [5] * 300, dtype=object)  # exact integers 5^0 .. 5^300
-_POW10 = np.ldexp(np.concatenate([1 / _fives[:0:-1], _fives]).astype(float), _e)
-_m = np.abs(_e)
-_EXP_HI = (  # "e", sign, NUL and tens digit at bytes 12-15: no hundreds digit
-    101 | np.where(_e < 0, 45, 43) << 8 | (48 + _m // 10 % 10) << 24
+_e = np.arange(-100, 101)  # the tables below are indexed by e + 100
+# 10^(9 - e), each correctly rounded (10.0**k is not, for some k).
+_POW10 = np.array([float("1e%d" % (9 - e)) for e in _e.tolist()])
+_EXP = (  # "e", sign, tens and units digit of the exponent at bytes 12-15
+    101 | np.where(_e < 0, 45, 43) << 8
+    | (48 + abs(_e) // 10 % 10) << 16 | (48 + abs(_e) % 10) << 24
 ) << 32
-_EXP_LO = (48 + _m % 10 | 44 << 8).astype(np.uint16)  # units digit, ","
 _FIELD = np.dtype([("a", "<i8"), ("b", "<i8"), ("c", "<u2")])
-del _e, _m, _fives
+del _e
 
 
 def format_csv_rows(values) -> bytes:
@@ -567,16 +564,16 @@ def format_csv_rows(values) -> bytes:
     Each value fills an 18-byte field, three little-endian words of a
     structured array looked up in tables built at import: bytes 0-7 hold
     the optional sign, the first digit, ``.`` and five digits, bytes 8-15
-    four digits, ``e``, the exponent sign, a NUL and the exponent's tens
-    digit, bytes 16-17 its units digit and the separator. Unused bytes stay
-    0 and are dropped at the end. The words hold values with a two-digit
-    exponent, |x| in [1e-99, 1e100). The ten significant digits come from
-    the mantissa m = |x| 10^(9 - e), with e = floor(log10 |x|) corrected so
-    that m lies in [1e9, 1e10), rounded to the nearest integer. Its error
-    is below 3e-6, so rounding m is exact unless m sits near a half-way
-    point. Every other value (non-finite, zero, outside that range, or
-    with a fractional part of m within 1e-4 of 1/2, or m at least 1e10 -
-    1) takes the first 17 bytes of its field from ``"%.9e" % value``, NUL
+    four digits, ``e``, the exponent sign and its two digits, bytes 16-17
+    a NUL and the separator. Unused bytes stay 0 and are dropped at the
+    end. The words hold values with a two-digit exponent, |x| in [1e-99,
+    1e100). The ten significant digits come from the mantissa m = |x|
+    10^(9 - e), with e = floor(log10 |x|) corrected so that m lies in
+    [1e9, 1e10), rounded to the nearest integer. Its error is below 3e-6,
+    so rounding m is exact unless m sits near a half-way point. Every
+    other value (non-finite, zero, outside that range, or with a
+    fractional part of m within 1e-4 of 1/2, or m at least 1e10 - 1)
+    takes the first 17 bytes of its field from ``"%.9e" % value``, NUL
     padded.
     """
     values = np.asarray(values, dtype=float)
@@ -586,11 +583,11 @@ def format_csv_rows(values) -> bytes:
     fast = (size >= 1e-99) & (size < 1e100)
     size = np.where(fast, size, 1.0)
     exponent = np.floor(np.log10(size)).astype(np.intp)
-    mantissa = size * _POW10[309 - exponent]  # 10^(9 - e)
+    mantissa = size * _POW10[exponent + 100]  # 10^(9 - e)
     # log10 may round across a power of ten; the mantissa's decade decides.
     exponent += mantissa >= 1e10
     exponent -= mantissa < 1e9
-    mantissa = size * _POW10[309 - exponent]
+    mantissa = size * _POW10[exponent + 100]
     fraction = mantissa - np.floor(mantissa)
     fast &= (np.abs(fraction - 0.5) >= 1e-4) & (mantissa < 1e10 - 1)
 
@@ -607,9 +604,8 @@ def format_csv_rows(values) -> bytes:
         | _QUAD[middle.astype(np.intp)] << 32
         | (flat < 0) * ord("-")
     )
-    exponent += 300
-    packed["b"] = _QUAD[low] | _EXP_HI[exponent]
-    packed["c"] = _EXP_LO[exponent]
+    packed["b"] = _QUAD[low] | _EXP[exponent + 100]
+    packed["c"] = ord(",") << 8
     grid = packed.view(np.uint8).reshape(flat.size, 18)
     grid.reshape(rows, columns, 18)[:, -1, 17] = ord("\n")
     slow = np.flatnonzero(~fast)

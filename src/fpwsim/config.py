@@ -67,6 +67,22 @@ def content_lines(text: str) -> Iterator[tuple[int, str, str]]:
             yield lineno, raw, line
 
 
+def read_rows(text: str, kind: str, header: str, row: Callable) -> list:
+    """``row(lineno, *fields)`` of each content line, one field per word of
+    ``header``. A wrong field count, or a ValueError raised by ``row``, is
+    raised as ``<kind> line <lineno>: <message>``."""
+    rows = []
+    for lineno, raw, line in content_lines(text):
+        fields = line.split()
+        try:
+            if len(fields) != len(header.split()):
+                raise ValueError(f"expected {header!r}, got {raw!r}")
+            rows.append(row(lineno, *fields))
+        except ValueError as exc:
+            raise ValueError(f"{kind} line {lineno}: {exc}") from None
+    return rows
+
+
 @dataclass(frozen=True)
 class DeviceConfig:
     """Parsed device description: layer stack, geometry, model parameters."""
@@ -243,18 +259,7 @@ def parse_density(token: str) -> float:
 
 
 def parse_calibration_points(text: str) -> list[tuple[float, float]]:
-    """Parse ``density frequency`` calibration lines.
-
-    Frequencies in Hz; densities in kg/m^3 unless suffixed ``g/cm3``.
-    ``#`` starts a comment.
-    """
-    points: list[tuple[float, float]] = []
-    for lineno, raw, line in content_lines(text):
-        tokens = line.split()
-        try:
-            if len(tokens) != 2:
-                raise ValueError(f"expected 'density frequency', got {raw!r}")
-            points.append((parse_density(tokens[0]), finite_float(tokens[1])))
-        except ValueError as exc:
-            raise ValueError(f"points file line {lineno}: {exc}") from None
-    return points
+    """``read_rows`` of a points file of ``density frequency`` lines: kg/m^3
+    unless suffixed ``g/cm3``, then Hz; ``#`` starts a comment."""
+    return read_rows(text, "points file", "density frequency",
+                     lambda _, rho, freq: (parse_density(rho), finite_float(freq)))

@@ -21,7 +21,7 @@ from typing import ClassVar, Iterable
 
 import numpy as np
 
-from .config import content_lines, finite_float
+from .config import finite_float, read_rows
 from .fpw_dispersion import LoadingState, _phase_velocity, loaded_velocity
 from .plate_materials import CompositePlate
 
@@ -254,34 +254,22 @@ def load_reference_datasets() -> ReferenceDatasets:
 
 
 def load_liquid_library(text: str) -> dict[str, LiquidSample]:
-    """Parse a liquid library: one ``name density viscosity`` per line.
-
-    Densities in kg/m^3, viscosities in Pa*s; ``#`` starts a comment.
-    Names are case-insensitive, and a repeated name is refused.
+    """``read_rows`` of a liquid library: one ``name density viscosity`` per
+    line, in kg/m^3 and Pa*s; ``#`` starts a comment. Names are
+    case-insensitive. A repeated name, or an out-of-range density or
+    viscosity, is refused at its line like a malformed one.
     """
-    liquids: dict[str, LiquidSample] = {}
     first_lines: dict[str, int] = {}
-    for lineno, raw, line in content_lines(text):
-        fields = line.split()
-        if len(fields) != 3:
-            raise ValueError(
-                f"liquid library line {lineno}: expected 'name density "
-                f"viscosity', got {raw!r}"
-            )
-        name = fields[0].lower()
-        first = first_lines.setdefault(name, lineno)
+
+    def row(lineno: int, name: str, density: str, viscosity: str):
+        key = name.lower()
+        first = first_lines.setdefault(key, lineno)
         if first != lineno:
-            raise ValueError(
-                f"liquid library line {lineno}: duplicate liquid name "
-                f"{fields[0]!r}, first on line {first}"
-            )
-        try:
-            density = finite_float(fields[1])
-            viscosity = finite_float(fields[2])
-        except ValueError as exc:
-            raise ValueError(f"liquid library line {lineno}: {exc}") from None
-        liquids[name] = LiquidSample(name, density, viscosity)
-    return liquids
+            raise ValueError(f"duplicate liquid name {name!r}, first on line {first}")
+        return LiquidSample(key, finite_float(density), finite_float(viscosity))
+
+    rows = read_rows(text, "liquid library", "name density viscosity", row)
+    return {liquid.name: liquid for liquid in rows}
 
 
 # Liquids the device was characterized with: the bundled library.

@@ -796,6 +796,7 @@ class TestMainEntryPoint:
         (["fit", "--points", "{bad}"], "line 1"),
         (["invert", "--freq", "4.75e6", "--points", "{bad}"], "line 1"),
         (["--liquids", "{bad}", "dispersion", "--liquid", "water"], "line 1"),
+        (["--liquids", "{neg}", "dispersion", "--liquid", "water"], "line 1"),
         (["s21", "--bulk", "--points", "1", "--out", "{out}"], "points"),
         (
             ["s21", "--bulk", "--f-start", "61e6", "--f-stop", "60e6",
@@ -815,25 +816,38 @@ class TestMainEntryPoint:
          "finite"),
         (["dispersion", "--sweep-out", "{out}", "--sweep-densities", "nan:1:3"],
          "finite"),
+        (["s21", "--bulk", "--liquid", "water", "--out", "{out}"], "--liquid"),
+        (["s21", "--bulk", "--tension", "5", "--out", "{out}"], "--tension"),
+        (["s21", "--bulk", "--viscous-loss", "--out", "{out}"], "--viscous-loss"),
+        (["--config", "{novel}", "s21", "--bulk", "--out", "{out}"],
+         "--bulk requires a [com] velocity in the config"),
     ],
-    ids=["fit-bad-points", "invert-bad-points", "bad-liquids", "one-point",
+    ids=["fit-bad-points", "invert-bad-points", "bad-liquids",
+         "negative-density-liquids", "one-point",
          "reversed-window", "dispersion-negative-tension",
          "s21-negative-tension", "nan-tension", "inf-tension",
          "s21-inf-tension", "nan-freq", "inf-freq", "zero-freq",
          "negative-freq", "inf-sweep-bound",
-         "nan-sweep-bound"],
+         "nan-sweep-bound", "bulk-liquid", "bulk-tension", "bulk-viscous-loss",
+         "bulk-without-velocity"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
     # Two fields: a bad density for a points file, one short for a library.
     bad = tmp_path / "bad.txt"
     bad.write_text("water 1000\n")
+    neg = tmp_path / "neg.txt"
+    neg.write_text("water -5 0.001\n")
+    novel = tmp_path / "novel.cfg"  # the bundled device, no [com] velocity
+    bundled = _bundled("reference_device.cfg")
+    novel.write_text(re.sub(r"(?m)^velocity = .*$", "", bundled))
     out = tmp_path / "out.csv"
-    argv = [a.format(bad=bad, out=out) for a in argv]
+    argv = [a.format(bad=bad, neg=neg, novel=novel, out=out) for a in argv]
     status = main(argv)
     captured = capsys.readouterr()
     assert status == 2
     assert captured.err.startswith("error: ")
     assert message in captured.err
+    assert not out.exists()
 
 
 def test_repeated_liquid_name_exits_2(tmp_path, capsys):
@@ -844,7 +858,7 @@ def test_repeated_liquid_name_exits_2(tmp_path, capsys):
     assert status == 2
     assert captured.out == ""
     assert captured.err == (
-        f"error: liquid library {library}: liquid library line 2: duplicate "
+        f"error: {library}: liquid library line 2: duplicate "
         "liquid name 'Water', first on line 1\n"
     )
 

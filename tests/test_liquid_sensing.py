@@ -534,7 +534,8 @@ class TestLiquidLibrary:
 
     @pytest.mark.parametrize(
         "bad_line",
-        ["broken 1", "water thick 0.001", "water nan 0.001", "water 1000 inf"],
+        ["broken 1", "water thick 0.001", "water nan 0.001", "water 1000 inf",
+         "water -5 0.001", "water 0 0.001", "water 1000 -1"],
     )
     def test_bad_line_after_comments_names_its_line(self, bad_line):
         text = f"# liquids\n\n   \n  # note\nsaline 1200 0.0015\n{bad_line}\n"
