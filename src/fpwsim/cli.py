@@ -71,20 +71,23 @@ class RunResult:
 
 
 def _bundled(name: str) -> str:
-    return resources.files("fpwsim").joinpath("data", name).read_text()
+    data = resources.files("fpwsim").joinpath("data", name)
+    return data.read_text(encoding="utf-8")
 
 
 def _load_config(args) -> DeviceConfig:
+    # Only a decode error names the path; a ConfigError keeps its own text.
     path = args.config
-    text = _bundled("reference_device.cfg") if path is None else Path(path).read_text()
+    text = _bundled("reference_device.cfg") if path is None else _read(path, str)
     return parse_device_config(text)
 
 
 def _read(path: str, parse):
-    """``parse`` of the text of the file at ``path``; a ValueError, a
-    refused row included, is raised as a UsageError naming the path."""
+    """``parse`` of the UTF-8 text of the file at ``path``; a ValueError, an
+    undecodable byte or a refused row included, is raised as a UsageError
+    naming the path."""
     try:
-        return parse(Path(path).read_text())
+        return parse(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
 

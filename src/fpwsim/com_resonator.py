@@ -240,7 +240,10 @@ def design_spacing(index: int, wavelength: float) -> float:
 
 
 def _grating_terms(frequencies, geometry: DeviceGeometry, params: ComParameters):
-    """(cosh z, sinh(z) / sigma, q) of one grating, z = sigma * length.
+    """(g00 / c, sinh(z) / sigma, kappa, c) of one grating, z = sigma * length:
+    g00 / c = cosh z + q sinh(z) / sigma per frequency, the distributed
+    reflectivity kappa = 2 r_s / wavelength * exp(i reflection_phase) and the
+    carrier c = exp(i beta_0 length).
 
     q = i * detuning = attenuation + i (beta - beta_0) and sigma =
     sqrt(|kappa|^2 + q^2). Both hyperbolics come from one exp: with E =
@@ -251,12 +254,13 @@ def _grating_terms(frequencies, geometry: DeviceGeometry, params: ComParameters)
     """
     frequencies = np.asarray(frequencies, dtype=float)
     length = geometry.grating_length
+    bragg = 2.0 * math.pi / geometry.wavelength
+    magnitude = 2.0 * params.strip_reflectivity / geometry.wavelength
     q = np.empty(frequencies.shape, dtype=complex)
     q.real = params.attenuation
     q.imag = frequencies * (2.0 * math.pi / params.free_velocity)
-    q.imag -= 2.0 * math.pi / geometry.wavelength
-    kappa = 2.0 * params.strip_reflectivity / geometry.wavelength
-    sigma = np.sqrt(q * q + kappa * kappa)
+    q.imag -= bragg
+    sigma = np.sqrt(q * q + magnitude * magnitude)
     z = sigma * length
     grow = np.exp(z)
     grow *= 0.5
@@ -274,18 +278,9 @@ def _grating_terms(frequencies, geometry: DeviceGeometry, params: ComParameters)
         stretch[near] = np.where(
             small, length, np.sinh(z) / np.where(small, 1.0, sigma[near])
         )
-    return spread, stretch, q
-
-
-def _kappa(geometry: DeviceGeometry, params: ComParameters):
-    """(kappa, carrier): distributed reflectivity 2 r_s / wavelength with the
-    strip reflection phase, and exp(i beta_0 length) of one grating."""
-    kappa = (
-        2.0 * params.strip_reflectivity / geometry.wavelength
-        * cmath.exp(1j * params.reflection_phase)
-    )
-    bragg = 2.0 * math.pi / geometry.wavelength
-    return kappa, cmath.exp(1j * bragg * geometry.grating_length)
+    spread += q * stretch
+    kappa = magnitude * cmath.exp(1j * params.reflection_phase)
+    return spread, stretch, kappa, cmath.exp(1j * bragg * length)
 
 
 def grating_scattering(
@@ -302,9 +297,8 @@ def grating_scattering(
     """
     if not 0 < frequency < math.inf:
         raise ValueError("frequency must be finite and > 0")
-    spread, stretch, q = _grating_terms([frequency], geometry, params)
-    kappa, carrier = _kappa(geometry, params)
-    g00 = (spread + q * stretch) * carrier
+    shape, stretch, kappa, carrier = _grating_terms([frequency], geometry, params)
+    g00 = shape * carrier
     g10 = stretch * (1j * kappa.conjugate() * carrier)
     return g10[0] / g00[0], 1.0 / g00[0]
 
@@ -391,13 +385,11 @@ def _s21_block(frequencies, geometry, params, drive_port, u, v):
     M[0, 0] and divided once, so that no intermediate amplitude underflows
     under strong loss.
     """
-    spread, stretch, q = _grating_terms(frequencies, geometry, params)
+    shape, stretch, kappa, carrier = _grating_terms(frequencies, geometry, params)
     mu = port_coupling(frequencies, geometry, params)
-    kappa, carrier = _kappa(geometry, params)
     turned = kappa / (carrier * carrier)
     tap2 = 1.0 - np.abs(mu) ** 2
     tap = np.sqrt(tap2)
-    shape = spread + q * stretch  # g00 / c
     e = shape * u[0] / tap
     p = stretch * u[1]
     e2 = e * e
@@ -414,7 +406,7 @@ def _s21_block(frequencies, geometry, params, drive_port, u, v):
             1j * (kappa.conjugate() + turned)
         )
     s21 = mu * mu * pickup / denom
-    solved = np.isfinite(denom) & (denom != 0) & np.isfinite(s21)
+    solved = np.isfinite(denom) & np.isfinite(s21)
     s21[~solved] = complex(np.nan, np.nan)
     return s21
 
@@ -478,11 +470,10 @@ def s21_sweep(
 
 
 def _crossing(freqs, mags, i_from, i_to, target):
-    """Linear interpolation of the frequency where |S21| crosses target."""
+    """Linear interpolation of the frequency where |S21| crosses target;
+    mags[i_from] <= target < mags[i_to], so the two never tie."""
     f1, f2 = freqs[i_from], freqs[i_to]
     m1, m2 = mags[i_from], mags[i_to]
-    if m2 == m1:
-        return f2
     return f1 + (target - m1) * (f2 - f1) / (m2 - m1)
 
 

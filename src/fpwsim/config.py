@@ -153,16 +153,15 @@ def _wave_constants(stack, pins: dict, wavelength: float):
     return CompositePlate.from_layers(stack, pins).wave_constants(wavelength)
 
 
-def _blame(error: ValueError, steps: list[tuple]) -> NoReturn:
+def _blame(steps: list[tuple]) -> NoReturn:
     """Raise, as a ConfigError at its line, the ValueError of the first of
-    ``steps`` (``(line, check)`` pairs) whose check fails; ``error`` with no
-    line if none does."""
+    ``steps`` (``(line, check)`` pairs) whose check fails. The caller's last
+    step is the whole-device check that failed, so one always does."""
     for lineno, check in steps:
         try:
             check()
         except ValueError as exc:
             raise ConfigError(str(exc), lineno) from None
-    raise ConfigError(str(error))
 
 
 def parse_device_config(text: str) -> DeviceConfig:
@@ -230,11 +229,11 @@ def parse_device_config(text: str) -> DeviceConfig:
         device_geometry = design()
         if layers:
             _wave_constants(stack, overrides, wavelength)
-    except ValueError as exc:
+    except ValueError:
         pin_lines = [key_lines["geometry", "wavelength"]]
         pin_lines += [key_lines["override", key] for key in overrides]
         pins = [*overrides.items()]
-        _blame(exc, [
+        _blame([
             (key_lines.get(("geometry", "spacing_index")), design),
             *[(n, partial(_wave_constants, [layer], {}, wavelength))
               for n, layer in layers.items()],

@@ -142,10 +142,17 @@ class VelocitySolution:
 
 
 def unloaded_velocity(bending: float, areal_mass: float) -> float:
-    """Phase velocity sqrt(B/M) of the bare plate (m/s)."""
+    """Phase velocity sqrt(B/M) of the bare plate (m/s); a ValueError, as
+    from the plate's wave constants, where B/M overflows or underflows."""
     if not (0 < bending < math.inf and 0 < areal_mass < math.inf):
         raise ValueError("bending term and areal mass must be finite and > 0")
-    return math.sqrt(bending / areal_mass)
+    velocity = math.sqrt(bending / areal_mass)
+    if not 0 < velocity < math.inf:
+        raise ValueError(
+            "unloaded velocity sqrt(bending_term / mass_per_area) must be "
+            "finite and > 0"
+        )
+    return velocity
 
 
 def _phase_velocity(
@@ -234,7 +241,8 @@ def density_from_frequency(
 
     which reduces to rho = dm / delta_E for zero viscosity. No iteration is
     needed. Frequencies at or above the liquid-free resonance imply a
-    non-positive density and raise NoSolutionError.
+    non-positive density and raise NoSolutionError, as does a frequency so
+    low, or a tension so high, that the implied density is not finite.
     """
     if not 0 < measured_frequency < math.inf:
         raise ValueError("measured frequency must be finite and > 0")
@@ -254,7 +262,16 @@ def density_from_frequency(
         )
 
     v = measured_frequency * wavelength
-    added_mass = stiffness / v**2 - areal_mass  # rho delta_E + M_eta
+    try:
+        added_mass = stiffness / v**2 - areal_mass  # rho delta_E + M_eta
+    except ZeroDivisionError:  # v**2 underflows to 0
+        added_mass = math.inf
     b = math.sqrt(assumed_viscosity / (4.0 * math.pi * measured_frequency))
     s = 2.0 * added_mass / (b + math.sqrt(b * b + 4.0 * delta_e * added_mass))
-    return s * s
+    density = s * s
+    if not density < math.inf:
+        raise NoSolutionError(
+            f"measured frequency {measured_frequency:.6g} Hz implies a liquid "
+            "density that is not finite"
+        )
+    return density

@@ -274,5 +274,7 @@ def load_liquid_library(text: str) -> dict[str, LiquidSample]:
 
 # Liquids the device was characterized with: the bundled library.
 PRESET_LIQUIDS: dict[str, LiquidSample] = load_liquid_library(
-    resources.files("fpwsim").joinpath("data", "liquids.txt").read_text()
+    resources.files("fpwsim").joinpath("data", "liquids.txt").read_text(
+        encoding="utf-8"
+    )
 )

@@ -2,6 +2,8 @@ import errno
 import itertools
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import fpwsim
 from fpwsim import (
     ComParameters,
     ConfigError,
@@ -59,6 +62,7 @@ _LINE_FAULTS = [
     ("layer-field", "poisson_ratio = 0.27", "poisson_ratio = 0.7", 4),
     ("layer-malformed", "density = 7600", "density = 76OO", 16),
     ("geometry-value", "idt_pairs = 20", "idt_pairs = 0", 20),
+    ("geometry-empty-value", "grating_strips = 40", "grating_strips =", 21),
     ("geometry-unknown-key", "idt_separation = 10", "idt_seperation = 10", 23),
     ("com-value", "transduction_strength = 0.4", "transduction_strength = 2", 30),
     ("com-malformed", "attenuation = 0.0", "attenuation = none", 32),
@@ -101,6 +105,17 @@ class TestParseDeviceConfig:
         params = cfg.com_parameters(free_velocity=2400.0)
         assert params.strip_reflectivity == 0.02
         assert params.attenuation == 0.0
+
+    def test_com_parameters_need_a_velocity(self):
+        cfg = parse_device_config(MINIMAL_CONFIG)
+        with pytest.raises(ConfigError, match="no free velocity"):
+            cfg.com_parameters()
+
+    def test_config_may_end_in_a_layer(self):
+        text = _bundled("reference_device.cfg")
+        layers, rest = text.split("[geometry]")
+        moved = parse_device_config("[geometry]" + rest + layers)
+        assert moved == parse_device_config(text)
 
     def test_typo_key_names_line(self):
         text = "[geometry]\nwavelenght = 40e-6\n"
@@ -790,6 +805,12 @@ class TestMainEntryPoint:
         assert "unknown liquid" in captured.err
 
 
+_UNDECODABLE = (
+    "bin.txt: 'utf-8' codec can't decode byte 0xff in position 17: "
+    "invalid start byte"
+)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -821,6 +842,14 @@ class TestMainEntryPoint:
         (["s21", "--bulk", "--viscous-loss", "--out", "{out}"], "--viscous-loss"),
         (["--config", "{novel}", "s21", "--bulk", "--out", "{out}"],
          "--bulk requires a [com] velocity in the config"),
+        (["dispersion", "--sweep-out", "{out}", "--sweep-densities", "1:2"],
+         "sweep range must be 'lo:hi:count', got '1:2'"),
+        (["dispersion", "--sweep-out", "{out}", "--sweep-densities", "2:1:5"],
+         "sweep range needs 0 < lo < hi and count >= 2"),
+        (["--config", "{binary}", "plate"], _UNDECODABLE),
+        (["fit", "--points", "{binary}"], _UNDECODABLE),
+        (["--liquids", "{binary}", "dispersion", "--liquid", "water"],
+         _UNDECODABLE),
     ],
     ids=["fit-bad-points", "invert-bad-points", "bad-liquids",
          "negative-density-liquids", "one-point",
@@ -829,7 +858,9 @@ class TestMainEntryPoint:
          "s21-inf-tension", "nan-freq", "inf-freq", "zero-freq",
          "negative-freq", "inf-sweep-bound",
          "nan-sweep-bound", "bulk-liquid", "bulk-tension", "bulk-viscous-loss",
-         "bulk-without-velocity"],
+         "bulk-without-velocity", "two-field-sweep-range",
+         "reversed-sweep-range", "undecodable-config", "undecodable-points",
+         "undecodable-liquids"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
     # Two fields: a bad density for a points file, one short for a library.
@@ -837,11 +868,14 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
     bad.write_text("water 1000\n")
     neg = tmp_path / "neg.txt"
     neg.write_text("water -5 0.001\n")
+    binary = tmp_path / "bin.txt"  # byte 17 is not UTF-8
+    binary.write_bytes(b"water 1000 0.001\n\xff 1 1\n")
     novel = tmp_path / "novel.cfg"  # the bundled device, no [com] velocity
     bundled = _bundled("reference_device.cfg")
     novel.write_text(re.sub(r"(?m)^velocity = .*$", "", bundled))
     out = tmp_path / "out.csv"
-    argv = [a.format(bad=bad, neg=neg, novel=novel, out=out) for a in argv]
+    argv = [a.format(bad=bad, neg=neg, binary=binary, novel=novel, out=out)
+            for a in argv]
     status = main(argv)
     captured = capsys.readouterr()
     assert status == 2
@@ -861,6 +895,37 @@ def test_repeated_liquid_name_exits_2(tmp_path, capsys):
         f"error: {library}: liquid library line 2: duplicate "
         "liquid name 'Water', first on line 1\n"
     )
+
+
+def test_inputs_are_read_as_utf8_whatever_the_locale(tmp_path, points_file):
+    # Under warn_default_encoding an open() that falls back to the locale's
+    # encoding warns; here that warning is an error.
+    config = tmp_path / "device.cfg"
+    config.write_text(_bundled("reference_device.cfg"))
+    library = tmp_path / "liquids.txt"
+    library.write_text("water 1000 0.001\n")
+    commands = [
+        ["plate"],
+        ["--config", str(config), "plate"],
+        ["fit", "--points", points_file],
+        ["--liquids", str(library), "dispersion", "--liquid", "water"],
+        ["s21", "--bulk", "--out", str(tmp_path / "bulk.csv")],
+        ["dispersion", "--sweep-out", str(tmp_path / "sweep.csv")],
+    ]
+    script = (
+        "from fpwsim.cli import main\n"
+        f"print([main(argv) for argv in {commands!r}])\n"
+    )
+    package = Path(fpwsim.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(package)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str([0] * len(commands))
+    assert done.stderr == ""
 
 
 @pytest.mark.parametrize(

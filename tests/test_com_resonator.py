@@ -543,6 +543,22 @@ class TestSweepWindowRefusals:
         with pytest.raises(ValueError, match="f_stop must be finite"):
             s21_sweep(bulk_geometry, bulk_params, f_start, math.inf)
 
+    @pytest.mark.parametrize("port", [0, 3])
+    def test_unknown_drive_port_refused(self, bulk_geometry, bulk_params, port):
+        with pytest.raises(ValueError, match="drive_port must be 1 or 2"):
+            s21_sweep(bulk_geometry, bulk_params, drive_port=port)
+
+    @pytest.mark.parametrize(
+        "count, points, message",
+        [(2, 3, "differ in length"), (0, 0, "frequency response is empty")],
+    )
+    def test_malformed_response_refused(self, count, points, message):
+        with pytest.raises(ValueError, match=message):
+            FrequencyResponse(
+                frequencies=np.arange(1.0, count + 1.0),
+                s21=np.zeros(points, dtype=complex),
+            )
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("index", [0, 2])
     def test_non_finite_frequencies_refused(self, bad, index):

@@ -38,7 +38,9 @@ class TestUnloadedVelocity:
     @pytest.mark.parametrize(
         "bending, areal_mass",
         [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
-         (math.inf, 1.0), (1.0, math.inf)],
+         (math.inf, 1.0), (1.0, math.inf),
+         # B / M overflows to inf or underflows to 0.
+         (1e300, 1e-300), (1e-300, 1e300)],
     )
     def test_invalid_inputs_rejected(self, bending, areal_mass):
         with pytest.raises(ValueError, match="finite and > 0"):
@@ -385,6 +387,20 @@ class TestDensityFromFrequency:
     def test_frequency_above_unloaded_rejected(self, pinned_plate):
         with pytest.raises(NoSolutionError):
             density_from_frequency(5.9e6, pinned_plate, WAVELENGTH)
+
+    @pytest.mark.parametrize(
+        "frequency, tension",
+        [(1e-150, 0.0), (1e-160, 0.0), (1e-300, 0.0), (1e6, 1.7e308)],
+        ids=["nan-density", "v2-underflows", "v2-underflows-far",
+             "tension-overflows-density"],
+    )
+    def test_non_finite_implied_density_refused(
+        self, pinned_plate, frequency, tension
+    ):
+        with pytest.raises(NoSolutionError, match="not finite"):
+            density_from_frequency(
+                frequency, pinned_plate, WAVELENGTH, tension=tension
+            )
 
     @pytest.mark.parametrize(
         "density, viscosity",

@@ -298,6 +298,10 @@ class TestCompositePlate:
         with pytest.raises(ValueError, match=next(iter(overrides))):
             CompositePlate.from_layers(reference_layers, overrides)
 
+    def test_direct_construction_refuses_poisson_ratio_of_half(self, plate):
+        with pytest.raises(ValueError, match="poisson_ratio"):
+            replace(plate, poisson_ratio=0.5)
+
     def test_computed_is_the_unpinned_plate(self, plate, reference_layers):
         pinned = CompositePlate.from_layers(
             reference_layers, {"young_modulus": 2e11, "mass_per_area": 0.1}
