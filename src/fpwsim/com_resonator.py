@@ -67,6 +67,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 import numpy as np
 
 from .fpw_dispersion import LoadingState, loaded_velocity
@@ -246,7 +247,11 @@ def _grating_terms(frequencies, geometry: DeviceGeometry, params: ComParameters)
     carrier c = exp(i beta_0 length).
 
     q = i * detuning = attenuation + i (beta - beta_0) and sigma =
-    sqrt(|kappa|^2 + q^2). Both hyperbolics come from one exp: with E =
+    sqrt(|kappa|^2 + q^2). beta - beta_0 is formed as 2 pi (f - f0) / v,
+    with f0 = v / wavelength carried to twice double precision, so that it
+    keeps the digits f and f0 share; beta and beta_0 rounded apart and then
+    subtracted lose them near the stopband, where the response is
+    sensitive to the detuning. Both hyperbolics come from one exp: with E =
     exp(z) / 2, cosh z = E + 1/(4E) and sinh z = E - 1/(4E). Re z >= 0, so
     |E| >= 1/2 and 1/(4E) never overflows. Where |z| < 0.5 the difference
     cancels; those points (a few at the band edges, or all of them when
@@ -256,10 +261,18 @@ def _grating_terms(frequencies, geometry: DeviceGeometry, params: ComParameters)
     length = geometry.grating_length
     bragg = 2.0 * math.pi / geometry.wavelength
     magnitude = 2.0 * params.strip_reflectivity / geometry.wavelength
+    f0 = params.center_frequency(geometry.wavelength)
+    f0_low = 0.0
+    if f0 < math.inf:
+        f0_low = float(
+            Fraction(params.free_velocity) / Fraction(geometry.wavelength)
+            - Fraction(f0)
+        )
     q = np.empty(frequencies.shape, dtype=complex)
     q.real = params.attenuation
-    q.imag = frequencies * (2.0 * math.pi / params.free_velocity)
-    q.imag -= bragg
+    q.imag = frequencies - f0
+    q.imag -= f0_low
+    q.imag *= 2.0 * math.pi / params.free_velocity
     sigma = np.sqrt(q * q + magnitude * magnitude)
     z = sigma * length
     grow = np.exp(z)

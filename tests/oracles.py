@@ -16,6 +16,7 @@ them. Nothing here imports ``fpwsim``.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -224,8 +225,11 @@ def grating_matrix(frequency, geometry, params):
     bragg = 2.0 * math.pi / geometry.wavelength
     kappa = (2.0 * params.strip_reflectivity / geometry.wavelength
              * cmath.exp(1j * params.reflection_phase))
-    delta = (2.0 * math.pi * frequency / params.free_velocity - bragg
-             - 1j * params.attenuation)
+    # f / v - 1 / wavelength taken exactly and rounded once: formed in
+    # floats, the two near-equal terms lose the digits they share.
+    detuning = float(Fraction(frequency) / Fraction(params.free_velocity)
+                     - 1 / Fraction(geometry.wavelength))
+    delta = 2.0 * math.pi * detuning - 1j * params.attenuation
     sigma = cmath.sqrt(abs(kappa) ** 2 - delta * delta)
     ch = cmath.cosh(sigma * length)
     sh = length if sigma == 0 else cmath.sinh(sigma * length) / sigma
