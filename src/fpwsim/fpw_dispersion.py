@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
 from .plate_materials import CompositePlate, evanescent_decay_length
+from .plate_materials import unloaded_velocity  # re-exported from here
 
 if TYPE_CHECKING:
     from .liquid_sensing import LiquidSample
@@ -37,7 +38,7 @@ WATER_SOUND_SPEED = 1482.0
 
 
 class ConvergenceError(RuntimeError):
-    """Kept for callers that catch it; every solve is closed form now."""
+    """Raised nowhere in fpwsim; kept because perfbench/workloads.py catches it."""
 
 
 class NoSolutionError(ValueError):
@@ -139,20 +140,6 @@ class VelocitySolution:
                 "evanescent decay-length approximation degrades"
             )
         return tuple(warnings)
-
-
-def unloaded_velocity(bending: float, areal_mass: float) -> float:
-    """Phase velocity sqrt(B/M) of the bare plate (m/s); a ValueError, as
-    from the plate's wave constants, where B/M overflows or underflows."""
-    if not (0 < bending < math.inf and 0 < areal_mass < math.inf):
-        raise ValueError("bending term and areal mass must be finite and > 0")
-    velocity = math.sqrt(bending / areal_mass)
-    if not 0 < velocity < math.inf:
-        raise ValueError(
-            "unloaded velocity sqrt(bending_term / mass_per_area) must be "
-            "finite and > 0"
-        )
-    return velocity
 
 
 def _phase_velocity(

@@ -35,6 +35,20 @@ def evanescent_decay_length(wavelength: float) -> float:
     return wavelength / (2.0 * math.pi)
 
 
+def unloaded_velocity(bending: float, areal_mass: float) -> float:
+    """Phase velocity sqrt(B/M) of the bare plate (m/s); a ValueError where
+    B/M overflows or underflows."""
+    if not (0 < bending < math.inf and 0 < areal_mass < math.inf):
+        raise ValueError("bending term and areal mass must be finite and > 0")
+    velocity = math.sqrt(bending / areal_mass)
+    if not 0 < velocity < math.inf:
+        raise ValueError(
+            "unloaded velocity sqrt(bending_term / mass_per_area) must be "
+            "finite and > 0"
+        )
+    return velocity
+
+
 class WaveConstants(NamedTuple):
     """What a plate fixes at one wavelength: the bending term B (N/m), the
     evanescent decay length delta_E (m) and the unloaded phase velocity
@@ -195,12 +209,7 @@ class CompositePlate:
             term = math.inf
         if not 0 < term < math.inf:
             raise ValueError("bending_term must be finite and > 0")
-        velocity = math.sqrt(term / self.mass_per_area)
-        if not 0 < velocity < math.inf:
-            raise ValueError(
-                "unloaded velocity sqrt(bending_term / mass_per_area) must be "
-                "finite and > 0"
-            )
+        velocity = unloaded_velocity(term, self.mass_per_area)
         if not velocity / wavelength > 0:  # v0 finite: f0 can only underflow
             raise ValueError(
                 "unloaded frequency sqrt(bending_term / mass_per_area) / "

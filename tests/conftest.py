@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fpwsim import (
@@ -22,6 +24,30 @@ PUBLISHED = {
     "tension_sensitivity": 7.69e-5,
     "fit_slope_mhz_gcm3": -0.848,
 }
+
+
+def range_cases(name, low, high, refusal, closed=False):
+    """``(name, value, refusal)`` at the edges of the range ``(low, high)``
+    of a field, or ``[low, high)`` when ``closed``: each finite bound itself,
+    the lower one accepted (refusal None) when closed, the nearest floats
+    outside the bounds, nan and both infinities."""
+    cases = {low: None if closed else refusal, high: refusal}
+    for bound, outward in ((low, -math.inf), (high, math.inf)):
+        if math.isfinite(bound):
+            cases[math.nextafter(bound, outward)] = refusal
+    cases.update(dict.fromkeys((math.nan, math.inf, -math.inf), refusal))
+    return [(name, value, message) for value, message in cases.items()]
+
+
+def assert_refusal(build, refusal):
+    """``build()`` succeeds when ``refusal`` is None, else raises a
+    ValueError whose text is exactly ``refusal``."""
+    if refusal is None:
+        build()
+        return
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == refusal
 
 
 @pytest.fixture

@@ -42,7 +42,7 @@ from fpwsim.com_resonator import (
     port_coupling,
     write_csv,
 )
-from conftest import WAVELENGTH
+from conftest import WAVELENGTH, assert_refusal, range_cases
 from oracles import (
     bragg_reflection_magnitude,
     capped_launch_magnitude,
@@ -1095,30 +1095,56 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             ComParameters(free_velocity=2400.0, attenuation=-1.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        "name",
-        ["wavelength", "idt_pairs", "grating_strips", "overlap",
-         "idt_separation", "grating_gap"],
-    )
-    def test_geometry_refuses_non_finite(self, name, value):
-        with pytest.raises(ValueError, match=name):
-            DeviceGeometry(**{"wavelength": WAVELENGTH, name: value})
+    @pytest.mark.parametrize("name, value, refusal", [
+        *range_cases("wavelength", 0.0, math.inf, "wavelength must be > 0"),
+        *range_cases("idt_pairs", 1.0, math.inf, "idt_pairs must be >= 1", True),
+        *range_cases("grating_strips", 0.0, math.inf,
+                     "grating_strips must be >= 0", True),
+        # In range but not whole: the next check names it.
+        ("idt_pairs", math.nextafter(1.0, math.inf),
+         "idt_pairs must be a whole number"),
+        ("grating_strips", 5e-324, "grating_strips must be a whole number"),
+        *range_cases("overlap", 0.0, math.inf, "overlap must be > 0"),
+        *range_cases("idt_separation", 0.0, math.inf,
+                     "idt_separation must be >= 0", True),
+        *range_cases("grating_gap", 0.0, math.inf, "grating_gap must be >= 0", True),
+    ])
+    def test_geometry_field_ranges(self, name, value, refusal):
+        build = lambda: DeviceGeometry(**{"wavelength": WAVELENGTH, name: value})
+        assert_refusal(build, refusal)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        "name",
-        ["free_velocity", "strip_reflectivity", "reflection_phase",
-         "transduction_strength", "static_capacitance_per_pair", "attenuation"],
-    )
-    def test_com_parameters_refuse_non_finite(self, name, value):
-        with pytest.raises(ValueError, match=name):
-            ComParameters(**{"free_velocity": 2400.0, name: value})
+    @pytest.mark.parametrize("name, value, refusal", [
+        *range_cases("free_velocity", 0.0, math.inf, "free_velocity must be > 0"),
+        *range_cases("strip_reflectivity", 0.0, 0.2,
+                     "strip_reflectivity magnitude must lie in [0, 0.2)", True),
+        *range_cases("reflection_phase", -math.inf, math.inf,
+                     "reflection_phase must be finite"),
+        # The magnitude must lie in [0, 1): on the real line, (-1, 1).
+        *range_cases("transduction_strength", -1.0, 1.0,
+                     "normalized transduction_strength magnitude must be < 1"),
+        ("transduction_strength", 1j,
+         "normalized transduction_strength magnitude must be < 1"),
+        ("transduction_strength", 0.6 + 0.7j, None),
+        ("transduction_strength", 0.0, None),
+        *range_cases("static_capacitance_per_pair", 0.0, math.inf,
+                     "static_capacitance_per_pair must be >= 0", True),
+        *range_cases("attenuation", 0.0, math.inf, "attenuation must be >= 0", True),
+    ])
+    def test_com_parameter_field_ranges(self, name, value, refusal):
+        build = lambda: ComParameters(**{"free_velocity": 2400.0, name: value})
+        assert_refusal(build, refusal)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_design_spacing_refuses_non_finite_wavelength(self, value):
-        with pytest.raises(ValueError, match="wavelength"):
-            design_spacing(0, value)
+    def test_geometry_checks_idt_pairs_before_overlap(self):
+        with pytest.raises(ValueError) as caught:
+            DeviceGeometry(1e-5, idt_pairs=0, overlap=0)
+        assert str(caught.value) == "idt_pairs must be >= 1"
+
+    @pytest.mark.parametrize(
+        "name, value, refusal",
+        range_cases("wavelength", 0.0, math.inf, "wavelength must be > 0"),
+    )
+    def test_design_spacing_wavelength_range(self, name, value, refusal):
+        assert_refusal(lambda: design_spacing(0, value), refusal)
 
     @pytest.mark.parametrize("index", [math.nan, math.inf, 1.5])
     def test_design_spacing_refuses_non_integer_index(self, index):

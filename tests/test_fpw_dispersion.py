@@ -16,7 +16,7 @@ from fpwsim import (
     unloaded_velocity,
 )
 from fpwsim.fpw_dispersion import _phase_velocity, tension_sensitivity
-from conftest import PUBLISHED, WAVELENGTH
+from conftest import PUBLISHED, WAVELENGTH, assert_refusal, range_cases
 from oracles import bisect_density, bisect_loaded_velocity, closed_form_density
 
 DELTA_E = WAVELENGTH / (2 * math.pi)  # 6.366197723e-06 m
@@ -452,6 +452,17 @@ class TestDensityFromFrequency:
         with pytest.raises(ValueError, match="finite"):
             density_from_frequency(**arguments)
 
+    @pytest.mark.parametrize(
+        "name, value, refusal",
+        range_cases("tension", 0.0, math.inf,
+                    "tension must be finite and >= 0", True),
+    )
+    def test_tension_range(self, pinned_plate, name, value, refusal):
+        invert = lambda: density_from_frequency(
+            4.75e6, pinned_plate, WAVELENGTH, **{name: value}
+        )
+        assert_refusal(invert, refusal)
+
     def test_matches_bisection_oracle(self, pinned_plate):
         bending = pinned_plate.bending_term(WAVELENGTH)
         areal_mass = pinned_plate.mass_per_area
@@ -486,13 +497,15 @@ class TestLoadTypes:
         with pytest.raises(ValueError):
             LiquidLoad(1000.0, -0.1)
 
-    @pytest.mark.parametrize(
-        "density, viscosity",
-        [(math.nan, 0.0), (math.inf, 0.0), (1000.0, math.nan), (1000.0, math.inf)],
-    )
-    def test_non_finite_liquid_rejected(self, density, viscosity):
-        with pytest.raises(ValueError, match="finite"):
-            LiquidLoad(density, viscosity)
+    @pytest.mark.parametrize("name, value, refusal", [
+        *range_cases("density", 0.0, math.inf,
+                     "liquid density must be finite and >= 0", True),
+        *range_cases("viscosity", 0.0, math.inf,
+                     "liquid viscosity must be finite and >= 0", True),
+    ])
+    def test_liquid_load_field_ranges(self, name, value, refusal):
+        fields = {"density": 1000.0, "viscosity": 0.0, name: value}
+        assert_refusal(lambda: LiquidLoad(**fields), refusal)
 
     def test_viscous_vacuum_rejected(self):
         with pytest.raises(ValueError):
@@ -502,7 +515,10 @@ class TestLoadTypes:
         with pytest.raises(ValueError):
             LoadingState(tension=-1.0)
 
-    @pytest.mark.parametrize("tension", [math.nan, math.inf])
-    def test_non_finite_tension_rejected(self, tension):
-        with pytest.raises(ValueError, match="finite"):
-            LoadingState(tension=tension)
+    @pytest.mark.parametrize(
+        "name, value, refusal",
+        range_cases("tension", 0.0, math.inf,
+                    "tension must be finite and >= 0", True),
+    )
+    def test_tension_range(self, name, value, refusal):
+        assert_refusal(lambda: LoadingState(**{name: value}), refusal)

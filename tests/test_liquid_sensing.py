@@ -27,7 +27,7 @@ from fpwsim import (
 )
 from fpwsim import liquid_sensing
 from fpwsim.fpw_dispersion import tension_sensitivity
-from conftest import PUBLISHED, WAVELENGTH
+from conftest import PUBLISHED, WAVELENGTH, assert_refusal, range_cases
 from oracles import bisect_loaded_velocity, former_report_values, former_solution_values
 
 # Published calibration set in SI units (kg/m^3, Hz).
@@ -122,10 +122,14 @@ class TestPredictFrequency:
         with pytest.raises(ValueError):
             predict_frequency(pinned_plate, WAVELENGTH, tension=-1.0)
 
-    @pytest.mark.parametrize("tension", [math.nan, math.inf])
-    def test_non_finite_tension_rejected(self, pinned_plate, tension):
-        with pytest.raises(ValueError, match="finite"):
-            predict_frequency(pinned_plate, WAVELENGTH, tension=tension)
+    @pytest.mark.parametrize(
+        "name, value, refusal",
+        range_cases("tension", 0.0, math.inf,
+                    "tension must be finite and >= 0", True),
+    )
+    def test_tension_range(self, pinned_plate, name, value, refusal):
+        predict = lambda: predict_frequency(pinned_plate, WAVELENGTH, **{name: value})
+        assert_refusal(predict, refusal)
 
     def test_density_ordering(self, pinned_plate):
         f_water = predict_frequency(
@@ -559,12 +563,14 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             LiquidSample("x", 1000.0, -1.0)
 
-    @pytest.mark.parametrize(
-        "density, viscosity",
-        [(math.nan, 0.0), (math.inf, 0.0), (1000.0, math.nan), (1000.0, math.inf)],
-    )
-    def test_non_finite_liquid_sample_rejected(self, density, viscosity):
+    @pytest.mark.parametrize("name, value, refusal", [
+        *range_cases("density", 0.0, math.inf,
+                     "liquid density must be finite and > 0"),
+        *range_cases("viscosity", 0.0, math.inf,
+                     "liquid viscosity must be finite and >= 0", True),
+    ])
+    def test_liquid_sample_field_ranges(self, name, value, refusal):
         # A NaN here used to reach predict_frequency and
         # viscosity_coupling_report and come back as a NaN frequency or ratio.
-        with pytest.raises(ValueError, match="finite"):
-            LiquidSample("x", density, viscosity)
+        fields = {"name": "x", "density": 1000.0, "viscosity": 0.001, name: value}
+        assert_refusal(lambda: LiquidSample(**fields), refusal)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fpwsim import CompositePlate, MaterialLayer
 from fpwsim.plate_materials import OVERRIDABLE_PARAMETERS
-from conftest import PUBLISHED, WAVELENGTH
+from conftest import PUBLISHED, WAVELENGTH, assert_refusal, range_cases
 
 LAYER = MaterialLayer("x", 1e-6, 1e11, 0.3, 2000.0)
 
@@ -298,6 +298,33 @@ class TestCompositePlate:
         with pytest.raises(ValueError, match=next(iter(overrides))):
             CompositePlate.from_layers(reference_layers, overrides)
 
+    @pytest.mark.parametrize("name, value, refusal", [
+        *range_cases("poisson_ratio", 0.0, 0.5,
+                     "poisson_ratio must lie in [0, 0.5)", True),
+        *[case for name in ("total_thickness", "young_modulus", "plate_modulus",
+                            "mass_per_area")
+          for case in range_cases(name, 0.0, math.inf,
+                                  f"{name} must be finite and > 0")],
+    ])
+    def test_direct_construction_field_ranges(self, name, value, refusal):
+        fields = dict(layers=(), total_thickness=1e-6, young_modulus=1e11,
+                      poisson_ratio=0.3, plate_modulus=1.1e11, mass_per_area=1e-3)
+        assert_refusal(lambda: CompositePlate(**{**fields, name: value}), refusal)
+
+    @pytest.mark.parametrize(
+        "name, value, refusal",
+        range_cases("poisson_ratio", 0.0, 0.5,
+                    "poisson_ratio must lie in [0, 0.5)", True),
+    )
+    def test_pinned_poisson_ratio_range(self, reference_layers, name, value, refusal):
+        build = lambda: CompositePlate.from_layers(reference_layers, {name: value})
+        assert_refusal(build, refusal)
+
+    def test_poisson_ratio_checked_before_the_positive_fields(self):
+        with pytest.raises(ValueError) as caught:
+            CompositePlate((), -1.0, -1.0, 0.7, 1.0, 1.0)
+        assert str(caught.value) == "poisson_ratio must lie in [0, 0.5)"
+
     def test_direct_construction_refuses_poisson_ratio_of_half(self, plate):
         with pytest.raises(ValueError, match="poisson_ratio"):
             replace(plate, poisson_ratio=0.5)
@@ -346,3 +373,20 @@ class TestMaterialLayerValidation:
         fields.update(kwargs)
         with pytest.raises(ValueError):
             MaterialLayer(**fields)
+
+    @pytest.mark.parametrize("name, value, refusal", [
+        *[case for name in ("thickness", "young_modulus", "density")
+          for case in range_cases(name, 0.0, math.inf,
+                                  f"layer 'x': {name} must be > 0")],
+        *range_cases("poisson_ratio", 0.0, 0.5,
+                     "layer 'x': poisson_ratio must lie in [0, 0.5)", True),
+    ])
+    def test_field_ranges(self, name, value, refusal):
+        fields = dict(name="x", thickness=1e-6, young_modulus=1e11,
+                      poisson_ratio=0.3, density=1000.0)
+        assert_refusal(lambda: MaterialLayer(**{**fields, name: value}), refusal)
+
+    def test_poisson_ratio_checked_last(self):
+        with pytest.raises(ValueError) as caught:
+            MaterialLayer("x", 1e-6, 1e11, 0.7, -1.0)
+        assert str(caught.value) == "layer 'x': density must be > 0"
