@@ -75,14 +75,17 @@ class LoadingState:
     The liquid is a ``LiquidLoad`` or a ``LiquidSample``, held as given: the
     solver reads only its density, viscosity and ``covers_decay_length``
     (always True for a sample), so a sample needs no copy.
+    Built per op, so ``__init__`` fills ``__dict__`` directly; still frozen.
     """
 
     tension: float = 0.0
     liquid: LiquidLoad | LiquidSample | None = None
 
-    def __post_init__(self):
-        if not 0 <= self.tension < math.inf:
+    def __init__(self, tension=0.0, liquid=None):
+        if not 0 <= tension < math.inf:
             raise ValueError("tension must be finite and >= 0")
+        attrs = self.__dict__
+        attrs["tension"], attrs["liquid"] = tension, liquid
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,7 @@ class VelocitySolution:
     safe) and the non-fatal precondition ``warnings``. ``iterations`` (0)
     and ``converged`` (True) are class constants: every solve is closed
     form.
+    Built per op, so ``__init__`` fills ``__dict__`` directly; still frozen.
     """
 
     phase_velocity: float
@@ -106,6 +110,11 @@ class VelocitySolution:
     liquid: LiquidLoad | LiquidSample | None
     iterations: ClassVar[int] = 0
     converged: ClassVar[bool] = True
+
+    def __init__(self, phase_velocity, viscous_mass, wavelength, liquid):
+        attrs = self.__dict__
+        attrs["phase_velocity"], attrs["viscous_mass"] = phase_velocity, viscous_mass
+        attrs["wavelength"], attrs["liquid"] = wavelength, liquid
 
     @property
     def resonant_frequency(self) -> float:

@@ -40,6 +40,7 @@ class LiquidSample:
 
     Also a valid liquid load of a ``LoadingState``: its density is > 0 and,
     as a class constant, it covers the evanescent decay length.
+    Built per op, so ``__init__`` fills ``__dict__`` directly; still frozen.
     """
 
     name: str
@@ -47,11 +48,13 @@ class LiquidSample:
     viscosity: float
     covers_decay_length: ClassVar[bool] = True
 
-    def __post_init__(self):
-        if not 0 < self.density < math.inf:
+    def __init__(self, name, density, viscosity):
+        if not 0 < density < math.inf:
             raise ValueError("liquid density must be finite and > 0")
-        if not 0 <= self.viscosity < math.inf:
+        if not 0 <= viscosity < math.inf:
             raise ValueError("liquid viscosity must be finite and >= 0")
+        attrs = self.__dict__
+        attrs["name"], attrs["density"], attrs["viscosity"] = name, density, viscosity
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,15 @@ class CouplingReport:
     operating point. Derived on read: ``ratio``, the viscous share of their
     sum (0 with no viscous mass); ``density_sensing_valid``, whether it
     stays at or below COUPLING_THRESHOLD; and the ``verdict`` text.
+    Built per op, so ``__init__`` fills ``__dict__`` directly; still frozen.
     """
 
     viscous_mass: float
     entrained_mass: float
+
+    def __init__(self, viscous_mass, entrained_mass):
+        attrs = self.__dict__
+        attrs["viscous_mass"], attrs["entrained_mass"] = viscous_mass, entrained_mass
 
     @property
     def ratio(self) -> float:

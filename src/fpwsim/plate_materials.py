@@ -201,7 +201,7 @@ class CompositePlate:
         return {}
 
     def _derive_wave_constants(self, wavelength: float) -> WaveConstants:
-        if not wavelength > 0:
+        if not 0 < wavelength < math.inf:
             raise ValueError("wavelength must be > 0")
         try:  # k**2 raises OverflowError where the product would be inf
             term = self.flexural_rigidity() * (2.0 * math.pi / wavelength) ** 2

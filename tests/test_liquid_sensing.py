@@ -1,5 +1,8 @@
+import copy
+import inspect
 import math
-from dataclasses import FrozenInstanceError, fields
+import pickle
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -386,6 +389,66 @@ class TestRecordsDeriveTheRest:
             assert first is not second
             assert first == second
             assert hash(first) == hash(second)
+
+
+# The records every density op builds, with a hand-written __init__ that
+# fills __dict__ directly, each with positional arguments that it accepts.
+_HAND_BUILT = {
+    LiquidSample: ("glycerol", 1260.0, 0.934),
+    LoadingState: (2.74, LiquidSample("water", 1000.0, 0.001)),
+    VelocitySolution: (190.05, 1.5e-4, 40e-6, LiquidLoad(1000.0, 0.001)),
+    CouplingReport: (1.5e-4, 6.4e-3),
+}
+
+
+@pytest.mark.parametrize("cls", list(_HAND_BUILT), ids=lambda c: c.__name__)
+class TestHandWrittenInit:
+    """A hand-written __init__ keeps the generated one's contract: the same
+    parameters as the init fields, and the dataclass's frozen semantics."""
+
+    def test_signature_matches_fields(self, cls):
+        params = inspect.signature(cls).parameters.values()
+        empty = inspect.Parameter.empty
+        assert [(p.name, p.kind, p.default) for p in params] == [
+            (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+             empty if f.default is MISSING else f.default)
+            for f in fields(cls) if f.init
+        ]
+
+    def test_keyword_built_equals_positional(self, cls):
+        args = _HAND_BUILT[cls]
+        record = cls(*args)
+        names = [f.name for f in fields(cls)]
+        assert cls(**dict(zip(names, args))) == record
+        assert vars(record) == dict(zip(names, args))
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, args))
+        assert repr(record) == f"{cls.__name__}({shown})"
+
+    def test_copies_are_equal(self, cls):
+        record = cls(*_HAND_BUILT[cls])
+        for twin in (replace(record), copy.copy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert twin is not record
+            assert twin == record
+            assert hash(twin) == hash(record)
+
+    def test_frozen(self, cls):
+        record = cls(*_HAND_BUILT[cls])
+        for f in fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, f.name)
+
+
+def test_replace_runs_the_range_checks():
+    sample = LiquidSample("water", 1000.0, 0.001)
+    assert_refusal(lambda: replace(sample, density=-1.0),
+                   "liquid density must be finite and > 0")
+    assert_refusal(lambda: replace(sample, viscosity=math.nan),
+                   "liquid viscosity must be finite and >= 0")
+    assert_refusal(lambda: replace(LoadingState(), tension=math.inf),
+                   "tension must be finite and >= 0")
 
 
 class TestLiquidSampleIsALoad:
