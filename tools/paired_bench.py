@@ -12,8 +12,9 @@ unchanged ``perfbench/run.py --workload W --seed K+i --seconds S --trace 0``
 once in the base tree and once in this checkout, with
 PYTHONDONTWRITEBYTECODE=1 and the base running first in even pairs, the
 change in odd ones. The result goes to ``BENCH_<L>.json`` at the root of
-this checkout; a file that already holds runs of the same two trees keeps
-its other workloads, so several workloads can share one label.
+this checkout. A file that already holds runs of the same two trees keeps
+its other workloads, so several workloads can share one label; one that
+holds runs of other trees is refused before anything runs.
 
 The file records Python, numpy and nproc, both commit SHAs and whether this
 checkout differs from its HEAD (BENCH files aside); for each pair the seed,
@@ -158,12 +159,15 @@ def measure(args) -> int:
     if not re.fullmatch(r"[A-Za-z0-9_-]+", args.label):
         raise SystemExit("error: --label takes letters, digits, _ and -")
     shas = commits(args.base)
+    path = ROOT / f"BENCH_{args.label}.json"
+    bench = {"label": args.label, "commits": shas, "workloads": {}}
+    if path.exists():
+        bench = json.loads(path.read_text(encoding="utf-8"))
+        if bench.get("commits") != shas:
+            raise SystemExit(f"error: {path.name} holds runs of other commits "
+                             f"({bench.get('commits')}); pick another label")
     runs = with_base(shas["base"], lambda trees: run_pairs(
         trees, args.workload, args.pairs, args.seconds, args.first_seed))
-    path = ROOT / f"BENCH_{args.label}.json"
-    bench = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    if bench.get("commits") != shas:
-        bench = {"label": args.label, "commits": shas, "workloads": {}}
     env = runs[0]["change"]["env"]
     bench["host"] = {k: env[k] for k in ("python", "numpy", "nproc")}
     bench["command"] = ("PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py "
