@@ -2,19 +2,17 @@
 
 Usage, from the root of a source checkout:
 
-    python3 tools/paired_bench.py --base REF --workload W --pairs N \\
-        --seconds S --label L [--first-seed K]
+    python3 tools/paired_bench.py --base REF --workload W [--workload W2 ...] \\
+        --pairs N --seconds S --label L
     python3 tools/paired_bench.py --self-test
 
 REF is checked out with ``git worktree add --detach`` into a temporary
-directory, which is removed when the script ends. Each pair runs the
-unchanged ``perfbench/run.py --workload W --seed K+i --seconds S --trace 0``
-once in the base tree and once in this checkout, with
-PYTHONDONTWRITEBYTECODE=1 and the base running first in even pairs, the
-change in odd ones. The result goes to ``BENCH_<L>.json`` at the root of
-this checkout. A file that already holds runs of the same two trees keeps
-its other workloads, so several workloads can share one label; one that
-holds runs of other trees is refused before anything runs.
+directory, which is removed when the script ends. For each workload in
+turn, pair i (from 1) runs the unchanged
+``perfbench/run.py --workload W --seed i --seconds S --trace 0`` once in the
+base tree and once in this checkout, with PYTHONDONTWRITEBYTECODE=1 and the
+base running first in odd pairs, the change in even ones. The result is
+written afresh to ``BENCH_<L>.json`` at the root of this checkout.
 
 The file records Python, numpy and nproc, both commit SHAs and whether this
 checkout differs from its HEAD (BENCH files aside); for each pair the seed,
@@ -77,11 +75,11 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def run_pairs(trees: dict, workload: str, pairs: int, seconds: float,
-              first_seed: int) -> list[dict]:
+def run_pairs(trees: dict, workload: str, pairs: int,
+              seconds: float) -> list[dict]:
     runs = []
     for i in range(pairs):
-        seed = first_seed + i
+        seed = i + 1
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
@@ -159,29 +157,31 @@ def measure(args) -> int:
     if not re.fullmatch(r"[A-Za-z0-9_-]+", args.label):
         raise SystemExit("error: --label takes letters, digits, _ and -")
     shas = commits(args.base)
-    path = ROOT / f"BENCH_{args.label}.json"
-    bench = {"label": args.label, "commits": shas, "workloads": {}}
-    if path.exists():
-        bench = json.loads(path.read_text(encoding="utf-8"))
-        if bench.get("commits") != shas:
-            raise SystemExit(f"error: {path.name} holds runs of other commits "
-                             f"({bench.get('commits')}); pick another label")
-    runs = with_base(shas["base"], lambda trees: run_pairs(
-        trees, args.workload, args.pairs, args.seconds, args.first_seed))
-    env = runs[0]["change"]["env"]
-    bench["host"] = {k: env[k] for k in ("python", "numpy", "nproc")}
-    bench["command"] = ("PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py "
-                        "--workload W --seed N --seconds S --trace 0, "
-                        "base and change alternating which runs first")
-    for pair in runs:
-        for side in SIDES:
-            del pair[side]["env"]
-    bench["workloads"][args.workload] = {
-        "pairs": args.pairs,
-        "seconds": args.seconds,
-        "runs": runs,
-        "summary": summarize(runs, benchmark_spec()["end_to_end"]),
+    results = with_base(shas["base"], lambda trees: {
+        name: run_pairs(trees, name, args.pairs, args.seconds)
+        for name in args.workload})
+    env = next(iter(results.values()))[0]["change"]["env"]
+    bench = {
+        "label": args.label,
+        "commits": shas,
+        "host": {k: env[k] for k in ("python", "numpy", "nproc")},
+        "command": ("PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py "
+                    "--workload W --seed N --seconds S --trace 0, "
+                    "base and change alternating which runs first"),
+        "workloads": {},
     }
+    metrics = benchmark_spec()["end_to_end"]
+    for name, runs in results.items():
+        for pair in runs:
+            for side in SIDES:
+                del pair[side]["env"]
+        bench["workloads"][name] = {
+            "pairs": args.pairs,
+            "seconds": args.seconds,
+            "runs": runs,
+            "summary": summarize(runs, metrics),
+        }
+    path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}", file=sys.stderr)
     return 0
@@ -191,7 +191,7 @@ def self_test() -> int:
     """HEAD against this checkout, one 1 s pair per workload."""
     names = [w["name"] for w in benchmark_spec()["workloads"]]
     results = with_base("HEAD", lambda trees: {
-        name: run_pairs(trees, name, 1, 1.0, 1)[0] for name in names})
+        name: run_pairs(trees, name, 1, 1.0)[0] for name in names})
     status = 0
     for name, pair in results.items():
         base, change = pair["base"], pair["change"]
@@ -209,11 +209,11 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--self-test", action="store_true")
     parser.add_argument("--base", help="git ref of the base side")
-    parser.add_argument("--workload")
+    parser.add_argument("--workload", action="append",
+                        help="repeat to run several workloads")
     parser.add_argument("--pairs", type=int)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--label")
-    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
     if not args.self_test:
         missing = [f"--{k}" for k in ("base", "workload", "pairs", "seconds",
