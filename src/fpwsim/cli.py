@@ -215,6 +215,7 @@ def _cmd_s21(args) -> RunResult:
     cfg = _load_config(args)
     geometry = cfg.geometry
     window = (args.f_start, args.f_stop, args.points)
+    warnings = ()
     if args.bulk:
         for option, given in (("--liquid", args.liquid is not None),
                               ("--tension", args.tension != 0),
@@ -228,10 +229,12 @@ def _cmd_s21(args) -> RunResult:
     else:
         plate = cfg.plate()
         liquid = _pick_liquid(args)
+        loading, solution = _loading(args, liquid, plate, geometry.wavelength)
+        warnings = solution.warnings
         sweep = partial(
             fpw_device_response,
             plate,
-            _loading(args, liquid, plate, geometry.wavelength)[0],
+            loading,
             geometry,
             cfg.com_parameters(free_velocity=1.0),
             *window,
@@ -267,6 +270,7 @@ def _cmd_s21(args) -> RunResult:
     if summary.peak_magnitude > 1.0 + 1e-12:
         lines.append("warning: peak |S21| > 1; the transversal IDT model is not "
                      "passive here")
+    lines += [f"warning: {w}" for w in warnings]
     return RunResult(command="s21", summary=tuple(lines))
 
 

@@ -66,7 +66,7 @@ import cmath
 import math
 import os
 import stat
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 import numpy as np
 
@@ -187,13 +187,12 @@ class ComParameters:
 class FrequencyResponse:
     """Complex S21 over a strictly increasing frequency grid.
 
-    ``gap_indices`` marks sweep points where the boundary solve was
-    singular; their s21 entries are NaN.
+    A sweep point where the boundary solve was singular is a NaN in s21;
+    ``gap_indices`` reads their positions from it.
     """
 
     frequencies: np.ndarray
     s21: np.ndarray
-    gap_indices: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if len(self.frequencies) != len(self.s21):
@@ -204,6 +203,11 @@ class FrequencyResponse:
             raise ValueError("frequencies must be finite")
         if np.any(np.diff(self.frequencies) <= 0):
             raise ValueError("frequencies must be strictly increasing")
+
+    @property
+    def gap_indices(self) -> tuple[int, ...]:
+        """Positions of the NaN (gap) points of s21, in increasing order."""
+        return tuple(np.flatnonzero(np.isnan(self.s21)).tolist())
 
     def magnitude_db(self) -> np.ndarray:
         """20 log10 |S21| per point (dB)."""
@@ -475,11 +479,7 @@ def s21_sweep(
             s21[block] = _s21_block(
                 frequencies[block], geometry, params, drive_port, u, v
             )
-    return FrequencyResponse(
-        frequencies=frequencies,
-        s21=s21,
-        gap_indices=tuple(np.flatnonzero(np.isnan(s21)).tolist()),
-    )
+    return FrequencyResponse(frequencies, s21)
 
 
 def _crossing(freqs, mags, i_from, i_to, target):

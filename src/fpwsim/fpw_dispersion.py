@@ -47,17 +47,15 @@ class NoSolutionError(ValueError):
 
 @dataclass(frozen=True)
 class LiquidLoad:
-    """Liquid contacting one face of the membrane.
+    """Liquid contacting one face of the membrane, deeper than the
+    evanescent decay length, so the full entrained mass loads the plate.
 
-    density in kg/m^3, viscosity (shear) in Pa*s. ``covers_decay_length``
-    states whether the liquid level exceeds the evanescent decay length,
-    the condition for the full entrained-mass loading to apply. A zero
-    density stands for the no-liquid limit and requires zero viscosity.
+    density in kg/m^3, viscosity (shear) in Pa*s. A zero density stands for
+    the no-liquid limit and requires zero viscosity.
     """
 
     density: float
     viscosity: float = 0.0
-    covers_decay_length: bool = True
 
     def __post_init__(self):
         if not 0 <= self.density < math.inf:
@@ -73,8 +71,7 @@ class LoadingState:
     """In-plane tension (N/m, tensile only) plus optional liquid load.
 
     The liquid is a ``LiquidLoad`` or a ``LiquidSample``, held as given: the
-    solver reads only its density, viscosity and ``covers_decay_length``
-    (always True for a sample), so a sample needs no copy.
+    solver reads only its density and viscosity, so a sample needs no copy.
     Built per op, so ``__init__`` fills ``__dict__`` directly; still frozen.
     """
 
@@ -136,19 +133,12 @@ class VelocitySolution:
 
     @property
     def warnings(self) -> tuple[str, ...]:
-        liquid = self.liquid
-        if liquid is None:
+        if self.liquid is None or not (ratio := self.sound_speed_ratio) > 0.3:
             return ()
-        warnings = [] if liquid.covers_decay_length else [
-            "liquid level below the evanescent decay length; entrained mass "
-            "is overestimated and the density reading is unreliable"
-        ]
-        if (ratio := self.sound_speed_ratio) > 0.3:
-            warnings.append(
-                f"phase velocity is {ratio:.2f} of the liquid sound speed; the "
-                "evanescent decay-length approximation degrades"
-            )
-        return tuple(warnings)
+        return (
+            f"phase velocity is {ratio:.2f} of the liquid sound speed; the "
+            "evanescent decay-length approximation degrades",
+        )
 
 
 def _phase_velocity(

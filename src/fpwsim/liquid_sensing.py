@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import ClassVar, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -38,15 +38,13 @@ class DegenerateFitError(ValueError):
 class LiquidSample:
     """A candidate liquid: density in kg/m^3, shear viscosity in Pa*s.
 
-    Also a valid liquid load of a ``LoadingState``: its density is > 0 and,
-    as a class constant, it covers the evanescent decay length.
+    Also a valid liquid load of a ``LoadingState``, its density being > 0.
     Built per op, so ``__init__`` fills ``__dict__`` directly; still frozen.
     """
 
     name: str
     density: float
     viscosity: float
-    covers_decay_length: ClassVar[bool] = True
 
     def __init__(self, name, density, viscosity):
         if not 0 < density < math.inf:
@@ -137,8 +135,10 @@ def fit_density_sensitivity(
             raise DegenerateFitError("calibration densities are all identical")
         dmean = densities.mean()
         fmean = freqs.mean()
-        slope = float(np.sum((densities - dmean) * (freqs - fmean))
-                      / np.sum((densities - dmean) ** 2))
+        sxx = float(np.sum((densities - dmean) ** 2))
+        if not 0 < sxx < math.inf:  # the slope would read 0 or nan
+            raise DegenerateFitError("calibration points overflow the fit")
+        slope = float(np.sum((densities - dmean) * (freqs - fmean)) / sxx)
         intercept = float(fmean - slope * dmean)
         residuals = freqs - (slope * densities + intercept)
         ss_res = float(np.sum(residuals**2))

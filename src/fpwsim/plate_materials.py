@@ -117,26 +117,28 @@ def _effective(
 class CompositePlate:
     """Homogenized description of a layered membrane.
 
-    The effective fields are the values used by downstream models. Any of
-    them may have been pinned to an externally published or measured value
-    via ``overrides`` (useful when a derived quantity and a published table
-    disagree); ``computed()`` always returns the stack-derived values.
+    Built from the layer stack and ``overrides``, which maps parameter
+    names (see OVERRIDABLE_PARAMETERS) to pinned values, for example
+    published ones where the derived values disagree. The five effective
+    fields are derived from the two on construction: everything not pinned
+    comes from the layers, and a pinned Young's modulus or Poisson ratio
+    feeds the plate modulus unless that is itself pinned. ``computed()``
+    always returns the stack-derived values.
     """
 
     layers: tuple[MaterialLayer, ...]
-    total_thickness: float
-    young_modulus: float
-    poisson_ratio: float
-    plate_modulus: float
-    mass_per_area: float
     overrides: Mapping[str, float] = field(default_factory=dict)
+    total_thickness: float = field(init=False)
+    young_modulus: float = field(init=False)
+    poisson_ratio: float = field(init=False)
+    plate_modulus: float = field(init=False)
+    mass_per_area: float = field(init=False)
 
     def __post_init__(self):
+        self.__dict__.update(_effective(self.layers, self.overrides))
         for key in self.overrides:
             if key not in OVERRIDABLE_PARAMETERS:
                 raise ValueError(f"unknown override parameter {key!r}")
-        if not 0 <= self.poisson_ratio < 0.5:
-            raise ValueError("poisson_ratio must lie in [0, 0.5)")
         for name in ("young_modulus", "plate_modulus", "mass_per_area",
                      "total_thickness"):
             if not 0 < getattr(self, name) < math.inf:
@@ -154,15 +156,8 @@ class CompositePlate:
         layers: Iterable[MaterialLayer],
         overrides: Mapping[str, float] | None = None,
     ) -> "CompositePlate":
-        """Build the effective plate from a layer stack.
-
-        ``overrides`` maps parameter names (see OVERRIDABLE_PARAMETERS) to
-        pinned values; everything not pinned is derived from the layers.
-        An overridden Young's modulus or Poisson ratio propagates into the
-        derived plate modulus unless that is itself pinned.
-        """
-        stack, ov = tuple(layers), dict(overrides or {})
-        return cls(layers=stack, overrides=ov, **_effective(stack, ov))
+        """The plate of any iterable of layers and optional pins."""
+        return cls(tuple(layers), dict(overrides or {}))
 
     def computed(self) -> dict[str, float]:
         """Stack-derived effective parameters, ignoring any overrides."""

@@ -92,15 +92,10 @@ def bisect_density(frequency, bending, areal_mass, tension, viscosity,
 def former_solution_values(phase_velocity, viscous_mass, wavelength, liquid):
     """The five derived values of a loaded-velocity solution, by the formulas
     that computed them when the solution stored them. ``liquid`` is None or
-    (density, viscosity, covers_decay_length); 1482 m/s is the water sound
-    speed of the validity ratio."""
-    rho, eta = (0.0, 0.0) if liquid is None else liquid[:2]
+    (density, viscosity); 1482 m/s is the water sound speed of the validity
+    ratio."""
+    rho, eta = (0.0, 0.0) if liquid is None else liquid
     warnings = []
-    if liquid is not None and not liquid[2]:
-        warnings.append(
-            "liquid level below the evanescent decay length; entrained mass "
-            "is overestimated and the density reading is unreliable"
-        )
     ratio = phase_velocity / 1482.0
     if liquid is not None and ratio > 0.3:
         warnings.append(

@@ -628,6 +628,19 @@ class TestS21Command:
         )
         assert float(peak.split(":")[1]) == pytest.approx(5.875e6, rel=1e-3)
 
+    def test_fpw_prints_the_loading_warning_last(self, tmp_path):
+        # At 2e4 N/m, v_p over the water sound speed is 0.31; dispersion
+        # prints the same line for the same operating point.
+        loading = ["--liquid", "water", "--tension", "2e4"]
+        warning = ("warning: phase velocity is 0.31 of the liquid sound speed; "
+                   "the evanescent decay-length approximation degrades")
+        assert run(["dispersion", *loading]).summary[-1] == warning
+        result = run(["s21", "--fpw", *loading, "--out", str(tmp_path / "t.csv")])
+        assert result.exit_status == 0
+        assert result.summary[-2].startswith("quality_factor: ")
+        assert result.summary[-1] == warning
+        assert sum(line.startswith("warning:") for line in result.summary) == 1
+
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -744,7 +757,7 @@ class TestS21Command:
             gap = int(below[below > peak][0])
             s21 = response.s21.copy()
             s21[gap] = complex(np.nan, np.nan)
-            return replace(response, s21=s21, gap_indices=(gap,))
+            return replace(response, s21=s21)
 
         monkeypatch.setattr("fpwsim.cli.s21_sweep", gapped_sweep)
         status = main(["s21", "--bulk", "--out", str(tmp_path / "gap.csv")])
@@ -783,6 +796,15 @@ class TestFitInvertCommands:
         result = run(["invert", "--freq", "5e6", "--points", str(path)])
         assert result.exit_status == 2
         assert "slope is zero" in result.errors[0]
+
+    def test_spread_whose_square_overflows_exits_2(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("1e300 5e6\n1.5e300 4e6\n")
+        for command in (["fit"], ["invert", "--freq", "4.5e6"]):
+            result = run([*command, "--points", str(path)])
+            assert (result.exit_status, result.summary, result.errors) == (
+                2, (), ("calibration points overflow the fit",)
+            )
 
     def test_invert_out_of_range_warns(self, points_file):
         result = run(["invert", "--freq", "6.5e6", "--points", points_file])

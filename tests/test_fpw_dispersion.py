@@ -178,13 +178,6 @@ class TestLoadedVelocity:
         )
         assert degenerate.phase_velocity == bare.phase_velocity
 
-    def test_uncovered_decay_length_warns(self, pinned_plate):
-        load = LoadingState(
-            0.0, LiquidLoad(1000.0, 0.001, covers_decay_length=False)
-        )
-        solution = loaded_velocity(pinned_plate, load, WAVELENGTH)
-        assert any("decay length" in w for w in solution.warnings)
-
     @settings(
         max_examples=500,
         deadline=None,

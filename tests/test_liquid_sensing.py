@@ -63,6 +63,21 @@ class TestFitDensitySensitivity:
         with pytest.raises(DegenerateFitError, match="overflow"):
             fit_density_sensitivity([(1e308, 4.75e6), (-1e308, 4.9e6)])
 
+    @pytest.mark.parametrize("points", [
+        [(1e300, 5e6), (1.5e300, 4e6)],  # sum of squared spreads is inf
+        [(1e-300, 5e6), (2e-300, 4e6)],  # ... and here underflows to 0
+    ])
+    def test_spread_whose_square_leaves_the_floats_refused(self, points):
+        # An inf spread once gave a slope of -0.0 and r^2 0 without a refusal.
+        assert_refusal(lambda: fit_density_sensitivity(points),
+                       "calibration points overflow the fit")
+
+    def test_reference_fit_bits(self):
+        fit = fit_density_sensitivity(CALIBRATION_POINTS)
+        assert (fit.slope, fit.intercept, fit.r_squared) == (
+            -847.9397354046685, 5604265.329884581, 0.9990221573155327
+        )
+
     def test_single_point_rejected(self):
         with pytest.raises(DegenerateFitError):
             fit_density_sensitivity([(1000.0, 4.75e6)])
@@ -292,7 +307,6 @@ LIQUIDS = st.one_of(
         LiquidLoad,
         st.floats(1e-3, 2e4),
         st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e-200)),
-        st.booleans(),
     ),
 )
 
@@ -319,9 +333,9 @@ class TestRecordsDeriveTheRest:
         tension=st.floats(0.0, 100.0),
         thickness=st.one_of(st.none(), st.floats(0.5e-6, 10e-6)),
     )
-    @example(liquid=LiquidLoad(1000.0, 0.001, False), tension=0.0, thickness=10e-6)
+    @example(liquid=LiquidLoad(1000.0, 0.001), tension=0.0, thickness=10e-6)
     @example(liquid=LiquidLoad(1000.0, 0.001), tension=0.0, thickness=1.352e-6)
-    @example(liquid=LiquidLoad(1e-3, 1e-300, False), tension=100.0, thickness=None)
+    @example(liquid=LiquidLoad(1e-3, 1e-300), tension=100.0, thickness=None)
     @example(liquid=LiquidLoad(2e4, 0.0), tension=0.0, thickness=10e-6)
     def test_bit_identical_to_former_stored_formulas(
         self, pinned_plate, liquid, tension, thickness
@@ -333,8 +347,7 @@ class TestRecordsDeriveTheRest:
             solution.phase_velocity,
             solution.viscous_mass,
             WAVELENGTH,
-            None if liquid is None else
-            (liquid.density, liquid.viscosity, liquid.covers_decay_length),
+            None if liquid is None else (liquid.density, liquid.viscosity),
         )
         assert {name: getattr(solution, name) for name in expected} == expected
         if liquid is None:
@@ -459,7 +472,6 @@ class TestLiquidSampleIsALoad:
         assert [f.name for f in fields(LiquidSample)] == [
             "name", "density", "viscosity"
         ]
-        assert LiquidSample("x", 1.0, 0.0).covers_decay_length is True
 
     @settings(
         max_examples=150,

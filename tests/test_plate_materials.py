@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -215,9 +215,9 @@ class TestWaveConstants:
         )
 
         # A replaced plate derives from its own fields into its own cache.
-        thicker = replace(
-            plate, total_thickness=plate.total_thickness * thickness_scale
-        )
+        thicker = replace(plate, overrides={
+            **pins, "total_thickness": plate.total_thickness * thickness_scale
+        })
         assert "_wave_constants" not in vars(thicker)
         assert thicker.wave_constants(wavelengths[0]) == former_wave_constants(
             thicker, wavelengths[0]
@@ -309,10 +309,11 @@ class TestCompositePlate:
           for case in range_cases(name, 0.0, math.inf,
                                   f"{name} must be finite and > 0")],
     ])
-    def test_direct_construction_field_ranges(self, name, value, refusal):
-        fields = dict(layers=(), total_thickness=1e-6, young_modulus=1e11,
-                      poisson_ratio=0.3, plate_modulus=1.1e11, mass_per_area=1e-3)
-        assert_refusal(lambda: CompositePlate(**{**fields, name: value}), refusal)
+    def test_direct_construction_field_ranges(
+        self, reference_layers, name, value, refusal
+    ):
+        build = lambda: CompositePlate(reference_layers, {name: value})
+        assert_refusal(build, refusal)
 
     @pytest.mark.parametrize(
         "name, value, refusal",
@@ -323,14 +324,39 @@ class TestCompositePlate:
         build = lambda: CompositePlate.from_layers(reference_layers, {name: value})
         assert_refusal(build, refusal)
 
-    def test_poisson_ratio_checked_before_the_positive_fields(self):
+    def test_poisson_ratio_checked_before_the_positive_fields(
+        self, reference_layers
+    ):
+        pins = {"total_thickness": -1.0, "young_modulus": -1.0,
+                "poisson_ratio": 0.7}
         with pytest.raises(ValueError) as caught:
-            CompositePlate((), -1.0, -1.0, 0.7, 1.0, 1.0)
+            CompositePlate(reference_layers, pins)
         assert str(caught.value) == "poisson_ratio must lie in [0, 0.5)"
 
     def test_direct_construction_refuses_poisson_ratio_of_half(self, plate):
         with pytest.raises(ValueError, match="poisson_ratio"):
-            replace(plate, poisson_ratio=0.5)
+            replace(plate, overrides={"poisson_ratio": 0.5})
+
+    def test_layers_and_pins_are_the_only_inputs(self, plate, reference_layers):
+        assert [f.name for f in fields(CompositePlate) if f.init] == [
+            "layers", "overrides"
+        ]
+        pins = {"young_modulus": 2e11, "mass_per_area": 0.1}
+        built = CompositePlate(reference_layers, pins)
+        assert built == CompositePlate.from_layers(list(reference_layers), pins)
+        assert CompositePlate(reference_layers) == plate
+
+        # Replacing the pins derives all five values again.
+        repinned = replace(built, overrides={"poisson_ratio": 0.3})
+        unpinned = plate.computed()
+        e = unpinned["young_modulus"]
+        assert {name: getattr(repinned, name) for name in OVERRIDABLE_PARAMETERS} == {
+            **unpinned, "poisson_ratio": 0.3, "plate_modulus": e / (1.0 - 0.3**2)
+        }
+        with pytest.raises(ValueError, match="init=False"):
+            replace(plate, total_thickness=1e-6)
+
+        assert_refusal(lambda: CompositePlate((), {}), "layer stack is empty")
 
     def test_computed_is_the_unpinned_plate(self, plate, reference_layers):
         pinned = CompositePlate.from_layers(

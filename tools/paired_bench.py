@@ -19,7 +19,8 @@ checkout differs from its HEAD (BENCH files aside); for each pair the seed,
 the side that ran first, each side's end-to-end metrics, digest,
 ``correct`` flag and failed op count; and, per end-to-end metric of
 BENCHMARK.json, both medians, the base's quartiles and interquartile range,
-and the number of pairs the change won.
+the number of pairs the change won, the metric's bound and whether the
+change's median is worse than the base's by no more than bound x base.
 
 ``--self-test`` compares HEAD with this checkout, one pair of 1 s per
 workload of BENCHMARK.json, writes no file, and exits 0 only when every
@@ -92,7 +93,8 @@ def run_pairs(trees: dict, workload: str, pairs: int,
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: both medians, the base's quartiles and the pairs won."""
+    """Per metric: both medians, the base's quartiles, the pairs won and
+    the verdict against the metric's bound."""
     summary = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -120,6 +122,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "change_won_pairs": won,
             "pairs": len(runs),
             "median_gain_exceeds_base_iqr": None if iqr is None else gain > iqr,
+            "bound": metric["bound"],
+            "within_bound": -gain <= metric["bound"] * base_median,
         }
     return summary
 
