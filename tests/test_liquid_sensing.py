@@ -68,7 +68,6 @@ class TestFitDensitySensitivity:
         [(1e-300, 5e6), (2e-300, 4e6)],  # ... and here underflows to 0
     ])
     def test_spread_whose_square_leaves_the_floats_refused(self, points):
-        # An inf spread once gave a slope of -0.0 and r^2 0 without a refusal.
         assert_refusal(lambda: fit_density_sensitivity(points),
                        "calibration points overflow the fit")
 
