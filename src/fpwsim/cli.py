@@ -250,9 +250,10 @@ def _cmd_s21(args) -> RunResult:
     write_sweep_csv(response, args.out)
     points = len(response.frequencies)
     lines = [f"mode: {mode}", f"points: {points}", f"csv: {args.out}"]
-    if gaps := response.gap_indices:
+    if response.gap_indices:
         lines.append(
-            f"warning: {len(gaps)} singular sweep points recorded as gaps"
+            f"warning: {len(response.gap_indices)} singular sweep points "
+            "recorded as gaps"
         )
     try:
         summary = find_resonance(response)

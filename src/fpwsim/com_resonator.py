@@ -66,7 +66,7 @@ import cmath
 import math
 import os
 import stat
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 import numpy as np
 
@@ -187,12 +187,13 @@ class ComParameters:
 class FrequencyResponse:
     """Complex S21 over a strictly increasing frequency grid.
 
-    A sweep point where the boundary solve was singular is a NaN in s21;
-    ``gap_indices`` reads their positions from it.
+    ``gap_indices`` marks sweep points where the boundary solve was
+    singular; their s21 entries are NaN.
     """
 
     frequencies: np.ndarray
     s21: np.ndarray
+    gap_indices: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if len(self.frequencies) != len(self.s21):
@@ -203,11 +204,6 @@ class FrequencyResponse:
             raise ValueError("frequencies must be finite")
         if np.any(np.diff(self.frequencies) <= 0):
             raise ValueError("frequencies must be strictly increasing")
-
-    @property
-    def gap_indices(self) -> tuple[int, ...]:
-        """Positions of the NaN (gap) points of s21, in increasing order."""
-        return tuple(np.flatnonzero(np.isnan(self.s21)).tolist())
 
     def magnitude_db(self) -> np.ndarray:
         """20 log10 |S21| per point (dB)."""
@@ -479,7 +475,11 @@ def s21_sweep(
             s21[block] = _s21_block(
                 frequencies[block], geometry, params, drive_port, u, v
             )
-    return FrequencyResponse(frequencies, s21)
+    return FrequencyResponse(
+        frequencies=frequencies,
+        s21=s21,
+        gap_indices=tuple(np.flatnonzero(np.isnan(s21)).tolist()),
+    )
 
 
 def _crossing(freqs, mags, i_from, i_to, target):

@@ -119,7 +119,8 @@ class CompositePlate:
 
     Built from the layer stack and ``overrides``, which maps parameter
     names (see OVERRIDABLE_PARAMETERS) to pinned values, for example
-    published ones where the derived values disagree. The five effective
+    published ones where the derived values disagree; the plate keeps a
+    tuple of the layers and a copy of the pins. The five effective
     fields are derived from the two on construction: everything not pinned
     comes from the layers, and a pinned Young's modulus or Poisson ratio
     feeds the plate modulus unless that is itself pinned. ``computed()``
@@ -135,6 +136,9 @@ class CompositePlate:
     mass_per_area: float = field(init=False)
 
     def __post_init__(self):
+        # Own copies, so that the caller's later edits cannot reach the plate.
+        self.__dict__.update(layers=tuple(self.layers),
+                             overrides=dict(self.overrides))
         self.__dict__.update(_effective(self.layers, self.overrides))
         for key in self.overrides:
             if key not in OVERRIDABLE_PARAMETERS:
@@ -157,7 +161,7 @@ class CompositePlate:
         overrides: Mapping[str, float] | None = None,
     ) -> "CompositePlate":
         """The plate of any iterable of layers and optional pins."""
-        return cls(tuple(layers), dict(overrides or {}))
+        return cls(layers, overrides or {})
 
     def computed(self) -> dict[str, float]:
         """Stack-derived effective parameters, ignoring any overrides."""

@@ -757,7 +757,7 @@ class TestS21Command:
             gap = int(below[below > peak][0])
             s21 = response.s21.copy()
             s21[gap] = complex(np.nan, np.nan)
-            return replace(response, s21=s21)
+            return replace(response, s21=s21, gap_indices=(gap,))
 
         monkeypatch.setattr("fpwsim.cli.s21_sweep", gapped_sweep)
         status = main(["s21", "--bulk", "--out", str(tmp_path / "gap.csv")])

@@ -321,7 +321,9 @@ class TestCompositePlate:
                     "poisson_ratio must lie in [0, 0.5)", True),
     )
     def test_pinned_poisson_ratio_range(self, reference_layers, name, value, refusal):
-        build = lambda: CompositePlate.from_layers(reference_layers, {name: value})
+        # nu is checked even where a pinned E' leaves 1 - nu^2 unused.
+        pins = {name: value, "plate_modulus": 1.1e11}
+        build = lambda: CompositePlate.from_layers(list(reference_layers), pins)
         assert_refusal(build, refusal)
 
     def test_poisson_ratio_checked_before_the_positive_fields(
@@ -357,6 +359,16 @@ class TestCompositePlate:
             replace(plate, total_thickness=1e-6)
 
         assert_refusal(lambda: CompositePlate((), {}), "layer stack is empty")
+
+    def test_plate_keeps_its_own_layers_and_pins(self, reference_layers):
+        layers, pins = list(reference_layers), {"young_modulus": 2e11}
+        plate = CompositePlate(layers, pins)
+        pins["young_modulus"] = 3e11
+        layers.pop()
+        assert plate.layers == tuple(reference_layers)
+        assert plate.overrides == {"young_modulus": 2e11}
+        assert plate == CompositePlate(reference_layers, {"young_modulus": 2e11})
+        assert plate.young_modulus == 2e11
 
     def test_computed_is_the_unpinned_plate(self, plate, reference_layers):
         pinned = CompositePlate.from_layers(

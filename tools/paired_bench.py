@@ -20,7 +20,9 @@ the side that ran first, each side's end-to-end metrics, digest,
 ``correct`` flag and failed op count; and, per end-to-end metric of
 BENCHMARK.json, both medians, the base's quartiles and interquartile range,
 the number of pairs the change won, the metric's bound and whether the
-change's median is worse than the base's by no more than bound x base.
+change's median is worse than the base's by no more than bound x base
+(null, unresolved, where the base's interquartile range is wider than
+bound x base and not every change run beats every base run).
 
 ``--self-test`` compares HEAD with this checkout, one pair of 1 s per
 workload of BENCHMARK.json, writes no file, and exits 0 only when every
@@ -109,7 +111,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         iqr = None if quartiles is None else quartiles[2] - quartiles[0]
         won = sum((c > b) if higher else (c < b)
                   for b, c in zip(values["base"], values["change"]))
-        gain = (change_median - base_median) * (1 if higher else -1)
+        sign = 1 if higher else -1
+        gain = (change_median - base_median) * sign
+        allowed = metric["bound"] * base_median
+        # A base spread wider than the bound cannot tell a breach from noise,
+        # unless every change run beats every base run.
+        unresolved = iqr is not None and iqr > allowed and not (
+            min(sign * c for c in values["change"])
+            > max(sign * b for b in values["base"]))
         summary[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -123,7 +132,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "pairs": len(runs),
             "median_gain_exceeds_base_iqr": None if iqr is None else gain > iqr,
             "bound": metric["bound"],
-            "within_bound": -gain <= metric["bound"] * base_median,
+            "within_bound": None if unresolved else -gain <= allowed,
         }
     return summary
 
