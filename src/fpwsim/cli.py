@@ -381,8 +381,10 @@ def run(argv=None) -> RunResult:
     command = args.command
     try:
         return args.func(args)
-    except (ConfigError, UsageError, DegenerateFitError, OSError) as exc:
-        # An OSError's text names the path and the operating system's reason.
+    except (ConfigError, UsageError, DegenerateFitError, OSError,
+            MemoryError) as exc:
+        # An OSError's text names the path and the operating system's
+        # reason, a MemoryError's the array numpy could not allocate.
         return RunResult(command=command, errors=(str(exc),), exit_status=2)
     except (NoResonanceError, NoSolutionError) as exc:
         return RunResult(command=command, errors=(str(exc),), exit_status=1)

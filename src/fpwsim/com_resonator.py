@@ -240,7 +240,14 @@ def design_spacing(index: int, wavelength: float) -> float:
     return gap
 
 
-def _grating_terms(frequencies, geometry: DeviceGeometry, params: ComParameters):
+def _exact_center(geometry: DeviceGeometry, params: ComParameters):
+    """(f0, f0_low): f0 = v / wavelength and the rest of the exact quotient."""
+    f0 = params.center_frequency(geometry.wavelength)
+    exact = Fraction(params.free_velocity) / Fraction(geometry.wavelength)
+    return f0, float(exact - Fraction(f0)) if f0 < math.inf else 0.0
+
+
+def _grating_terms(frequencies, geometry, params, center):
     """(g00 / c, sinh(z) / sigma, kappa, c) of one grating, z = sigma * length:
     g00 / c = cosh z + q sinh(z) / sigma per frequency, the distributed
     reflectivity kappa = 2 r_s / wavelength * exp(i reflection_phase) and the
@@ -248,10 +255,11 @@ def _grating_terms(frequencies, geometry: DeviceGeometry, params: ComParameters)
 
     q = i * detuning = attenuation + i (beta - beta_0) and sigma =
     sqrt(|kappa|^2 + q^2). beta - beta_0 is formed as 2 pi (f - f0) / v,
-    with f0 = v / wavelength carried to twice double precision, so that it
-    keeps the digits f and f0 share; beta and beta_0 rounded apart and then
-    subtracted lose them near the stopband, where the response is
-    sensitive to the detuning. Both hyperbolics come from one exp: with E =
+    with f0 = v / wavelength carried to twice double precision in
+    ``center``, the sweep's ``_exact_center``, so that it keeps the digits f
+    and f0 share; beta and beta_0 rounded apart and then subtracted lose
+    them near the stopband, where the response is sensitive to the
+    detuning. Both hyperbolics come from one exp: with E =
     exp(z) / 2, cosh z = E + 1/(4E) and sinh z = E - 1/(4E). Re z >= 0, so
     |E| >= 1/2 and 1/(4E) never overflows. Where |z| < 0.5 the difference
     cancels; those points (a few at the band edges, or all of them when
@@ -261,13 +269,7 @@ def _grating_terms(frequencies, geometry: DeviceGeometry, params: ComParameters)
     length = geometry.grating_length
     bragg = 2.0 * math.pi / geometry.wavelength
     magnitude = 2.0 * params.strip_reflectivity / geometry.wavelength
-    f0 = params.center_frequency(geometry.wavelength)
-    f0_low = 0.0
-    if f0 < math.inf:
-        f0_low = float(
-            Fraction(params.free_velocity) / Fraction(geometry.wavelength)
-            - Fraction(f0)
-        )
+    f0, f0_low = center
     q = np.empty(frequencies.shape, dtype=complex)
     q.real = params.attenuation
     q.imag = frequencies - f0
@@ -310,7 +312,9 @@ def grating_scattering(
     """
     if not 0 < frequency < math.inf:
         raise ValueError("frequency must be finite and > 0")
-    shape, stretch, kappa, carrier = _grating_terms([frequency], geometry, params)
+    shape, stretch, kappa, carrier = _grating_terms(
+        [frequency], geometry, params, _exact_center(geometry, params)
+    )
     g00 = shape * carrier
     g10 = stretch * (1j * kappa.conjugate() * carrier)
     return g10[0] / g00[0], 1.0 / g00[0]
@@ -381,16 +385,16 @@ def _phase_steps(beta, step, attenuation, length, points):
         yield np.exp(first) * ahead[:count], np.exp(-first) * back[:count]
 
 
-def _s21_block(frequencies, geometry, params, drive_port, u, v):
+def _s21_block(frequencies, geometry, params, center, drive_port, u, v):
     """Closed-form S21 at each frequency; NaN where the solve is singular.
 
-    ``u`` is (U, 1/U) with U = exp(gamma l) over a grating gap and half an
-    IDT; ``v`` is (V, 1/V) over one IDT and the separation. The middle of
-    the chain collapses to diag(a, 1/a) with a = (U / tap)^2 V, where tap =
-    sqrt(1 - |mu|^2) is the IDT's tap transmission, so M[0, 0] = g00^2 a +
-    g01 g10 / a. The grating carrier c = exp(i beta_0 length) enters only
-    as kappa / c^2. With e = g00 U / (c tap) and p = sinh(sigma l) / (sigma
-    U),
+    ``center`` is the sweep's ``_exact_center``. ``u`` is (U, 1/U) with U
+    = exp(gamma l) over a grating gap and half an IDT; ``v`` is (V, 1/V)
+    over one IDT and the separation. The middle of the chain collapses to
+    diag(a, 1/a) with a = (U / tap)^2 V, where tap = sqrt(1 - |mu|^2) is the
+    IDT's tap transmission, so M[0, 0] = g00^2 a + g01 g10 / a. The grating
+    carrier c = exp(i beta_0 length) enters only as kappa / c^2. With e =
+    g00 U / (c tap) and p = sinh(sigma l) / (sigma U),
 
         M[0, 0] / c^2 = e^2 V + (kappa / c^2) kappa* p^2 tap^2 / V,
 
@@ -398,7 +402,9 @@ def _s21_block(frequencies, geometry, params, drive_port, u, v):
     M[0, 0] and divided once, so that no intermediate amplitude underflows
     under strong loss.
     """
-    shape, stretch, kappa, carrier = _grating_terms(frequencies, geometry, params)
+    shape, stretch, kappa, carrier = _grating_terms(
+        frequencies, geometry, params, center
+    )
     mu = port_coupling(frequencies, geometry, params)
     turned = kappa / (carrier * carrier)
     tap2 = 1.0 - np.abs(mu) ** 2
@@ -441,7 +447,7 @@ def s21_sweep(
     """
     if points < 2:
         raise ValueError("points must be >= 2")
-    f0 = params.center_frequency(geometry.wavelength)
+    f0, f0_low = _exact_center(geometry, params)
     if f_start is None:
         f_start = f0 * (1.0 - DEFAULT_SWEEP_SPAN)
     if f_stop is None:
@@ -473,7 +479,7 @@ def s21_sweep(
         for start, u, v in blocks:
             block = slice(start, start + SWEEP_BLOCK_POINTS)
             s21[block] = _s21_block(
-                frequencies[block], geometry, params, drive_port, u, v
+                frequencies[block], geometry, params, (f0, f0_low), drive_port, u, v
             )
     return FrequencyResponse(
         frequencies=frequencies,
@@ -547,6 +553,7 @@ _QUAD = (  # "%04d" % n
     _DIGITS[:, None, None, None] | _DIGITS[:, None, None] << 8
     | _DIGITS[:, None] << 16 | _DIGITS << 24
 ).ravel()
+_HIGH_QUAD = _QUAD << 32  # the same at bytes 4-7
 # "d.d" of n at bytes 1-3; n = 100 comes only from fallback values.
 _LEAD = np.append((_DIGITS[:, None] << 8 | 46 << 16 | _DIGITS << 24).ravel(), 0)
 _e = np.arange(-100, 101)  # the tables below are indexed by e + 100
@@ -556,7 +563,6 @@ _EXP = (  # "e", sign, tens and units digit of the exponent at bytes 12-15
     101 | np.where(_e < 0, 45, 43) << 8
     | (48 + abs(_e) // 10 % 10) << 16 | (48 + abs(_e) % 10) << 24
 ) << 32
-_FIELD = np.dtype([("a", "<i8"), ("b", "<i8"), ("c", "<u2")])
 del _e
 
 
@@ -565,57 +571,51 @@ def format_csv_rows(values) -> bytes:
     commas, each field exactly the bytes of ``"%.9e" % value``, so identical
     inputs give identical files.
 
-    Each value fills an 18-byte field, three little-endian words of a
-    structured array looked up in tables built at import: bytes 0-7 hold
-    the optional sign, the first digit, ``.`` and five digits, bytes 8-15
-    four digits, ``e``, the exponent sign and its two digits, bytes 16-17
-    a NUL and the separator. Unused bytes stay 0 and are dropped at the
-    end. The words hold values with a two-digit exponent, |x| in [1e-99,
-    1e100). The ten significant digits come from the mantissa m = |x|
-    10^(9 - e), with e = floor(log10 |x|) corrected so that m lies in
-    [1e9, 1e10), rounded to the nearest integer. Its error is below 3e-6,
-    so rounding m is exact unless m sits near a half-way point. Every
-    other value (non-finite, zero, outside that range, or with a
-    fractional part of m within 1e-4 of 1/2, or m at least 1e10 - 1)
-    takes the first 17 bytes of its field from ``"%.9e" % value``, NUL
-    padded.
+    Each value fills a 17-byte field of a structured array: two little-endian
+    words looked up in tables built at import, then the separator. Bytes 0-7
+    hold the sign or a NUL, the first digit, ``.`` and five digits, bytes 8-15
+    four digits, ``e``, the exponent sign and its two digits. NULs are dropped
+    at the end. The words hold |x| in [1e-99, 9.9999999995e99), the values
+    with a two-digit exponent. Their ten digits are whole = rint(m), m = |x|
+    10^(9 - e), e = floor(log10 |x|), split by integer division; m's error is
+    below 3e-6, so whole is exact unless m is near a half-way point. log10
+    misses the decade only within a few ulp of a power of ten 10^k, where the
+    text is 1.000000000e±k: below 10^k, e = k gives whole = 1e9 and that
+    text; at or above it, e = k - 1 gives whole >= 1e10 - 1. Other values
+    (non-finite, zero, out of range, m within 1e-4 of a half-way point, or
+    whole outside [1e9, 1e10 - 1)) take ``"%.9e" % value``, NUL padded. Only
+    a negative value with a three-digit exponent has 17 characters; it widens
+    every field of its block to 18 bytes, the extra byte 0.
     """
     values = np.asarray(values, dtype=float)
     rows, columns = values.shape
     flat = values.reshape(-1)
     size = np.abs(flat)
-    fast = (size >= 1e-99) & (size < 1e100)
+    fast = (size >= 1e-99) & (size < 9.9999999995e99)
     size = np.where(fast, size, 1.0)
     exponent = np.floor(np.log10(size)).astype(np.intp)
     mantissa = size * _POW10[exponent + 100]  # 10^(9 - e)
-    # log10 may round across a power of ten; the mantissa's decade decides.
-    exponent += mantissa >= 1e10
-    exponent -= mantissa < 1e9
-    mantissa = size * _POW10[exponent + 100]
-    fraction = mantissa - np.floor(mantissa)
-    fast &= (np.abs(fraction - 0.5) >= 1e-4) & (mantissa < 1e10 - 1)
-
-    # Exact in float64: the quotients of integers below 2^53 by 1e8 and
-    # 1e4 never round up to the next integer.
     whole = np.rint(mantissa)
-    top = np.floor(whole / 1e8)
-    rest = whole - 1e8 * top
-    middle = np.floor(rest / 1e4)
-    low = (rest - 1e4 * middle).astype(np.intp)
-    packed = np.empty(flat.size, dtype=_FIELD)
-    packed["a"] = (
-        _LEAD[top.astype(np.intp)]
-        | _QUAD[middle.astype(np.intp)] << 32
-        | (flat < 0) * ord("-")
-    )
-    packed["b"] = _QUAD[low] | _EXP[exponent + 100]
-    packed["c"] = ord(",") << 8
-    grid = packed.view(np.uint8).reshape(flat.size, 18)
-    grid.reshape(rows, columns, 18)[:, -1, 17] = ord("\n")
+    fast &= (np.abs(mantissa - whole) <= 0.4999) & (whole >= 1e9) & (whole < 1e10 - 1)
     slow = np.flatnonzero(~fast)
-    texts = b"".join([(b"%.9e" % x).ljust(17, b"\0") for x in flat[slow].tolist()])
-    grid[slow, :17] = np.frombuffer(texts, dtype=np.uint8).reshape(-1, 17)
-    return grid.tobytes().translate(None, b"\0")
+    texts = [b"%.9e" % x for x in flat[slow].tolist()]
+    width = max([17] + [len(text) + 1 for text in texts])
+    low = whole.astype(np.int64)
+    top = low // 100000000
+    low -= top * 100000000
+    middle = low // 10000
+    low -= middle * 10000
+    field = {"names": ["a", "b", "c"], "formats": ["<i8", "<i8", "u1"],
+             "offsets": [0, 8, width - 1], "itemsize": width}
+    packed = (np.empty if width == 17 else np.zeros)(flat.size, dtype=field)
+    packed["a"] = _LEAD[top] | _HIGH_QUAD[middle] | (flat < 0) * ord("-")
+    packed["b"] = _QUAD[low] | _EXP[exponent + 100]
+    packed["c"] = ord(",")
+    grid = packed.view(np.uint8).reshape(flat.size, width)
+    grid.reshape(rows, columns, width)[:, -1, -1] = ord("\n")
+    texts = b"".join([text.ljust(width - 1, b"\0") for text in texts])
+    grid[slow, :-1] = np.frombuffer(texts, dtype=np.uint8).reshape(-1, width - 1)
+    return grid.tobytes().replace(b"\0", b"")
 
 
 def _keep_contents(path, flags):

@@ -872,6 +872,11 @@ _UNDECODABLE = (
         (["fit", "--points", "{binary}"], _UNDECODABLE),
         (["--liquids", "{binary}", "dispersion", "--liquid", "water"],
          _UNDECODABLE),
+        # 2^58 points of 8 bytes: 2^61 bytes, more than any address space.
+        (["s21", "--bulk", "--points", str(2**58), "--out", "{out}"],
+         "Unable to allocate"),
+        (["dispersion", "--sweep-out", "{out}",
+          "--sweep-densities", f"1:2:{2**58}"], "Unable to allocate"),
     ],
     ids=["fit-bad-points", "invert-bad-points", "bad-liquids",
          "negative-density-liquids", "one-point",
@@ -882,7 +887,7 @@ _UNDECODABLE = (
          "nan-sweep-bound", "bulk-liquid", "bulk-tension", "bulk-viscous-loss",
          "bulk-without-velocity", "two-field-sweep-range",
          "reversed-sweep-range", "undecodable-config", "undecodable-points",
-         "undecodable-liquids"],
+         "undecodable-liquids", "unallocatable-s21", "unallocatable-density-sweep"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
     # Two fields: a bad density for a points file, one short for a library.

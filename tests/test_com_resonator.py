@@ -852,6 +852,43 @@ class TestCsvExport:
         # double, which 10.0**k is not for some k.
         assert _POW10.tolist() == [float("1e%d" % (9 - e)) for e in range(-100, 101)]
 
+    def test_wide_sample_matches_percent_format(self):
+        # Writer-sized blocks of four columns mixing packed and "%.9e"
+        # fields: every double within 4 ulp of 10^k for k in [-100, 100],
+        # where log10 may miss the decade; near half-way mantissas, most
+        # within 1e-4 of the tie; 2^17 random 64-bit patterns; and the
+        # specials. Their texts have every length "%.9e" gives (3, 4, 15,
+        # 16 and 17 bytes); blocks without a 17-byte text keep 17-byte
+        # fields, the others widen to 18.
+        rng = np.random.default_rng(2029)
+        powers = np.array([float("1e%d" % k) for k in range(-100, 101)])
+        near_powers = powers.view(np.int64)[:, None] + np.arange(-4, 5)
+        digits = rng.integers(10**9, 10**10, 4096).tolist()
+        exponents = rng.integers(-100, 101, 4096).tolist()
+        ties = np.array(
+            [float("%d5e%d" % (d, e - 10)) for d, e in zip(digits, exponents)]
+        )
+        near_ties = ties.view(np.int64) + rng.integers(-400, 401, ties.size)
+        values = np.concatenate([
+            near_powers.ravel().view(np.float64),
+            near_ties.view(np.float64),
+            rng.integers(0, 2**64, 2**17, dtype=np.uint64).view(np.float64),
+            [math.nan, math.inf, 0.0, 5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308],
+        ])
+        values.view(np.uint64)[rng.random(values.size) < 0.5] ^= np.uint64(1 << 63)
+        values = rng.permutation(values)
+        lengths = np.array([len(b"%.9e" % x) for x in values.tolist()])
+        assert set(lengths.tolist()) == {3, 4, 15, 16, 17}
+        for sample, widest in ((values[lengths < 17], 16), (values, 17)):
+            sample = np.append(sample, np.ones(-sample.size % 4))
+            for block in np.split(sample.reshape(-1, 4), np.arange(
+                SWEEP_BLOCK_POINTS, sample.size // 4, SWEEP_BLOCK_POINTS
+            )):
+                texts = [b"%.9e" % x for x in block.ravel().tolist()]
+                assert max(map(len, texts)) == widest
+                assert format_csv_rows(block) == _percent_formatted(block.tolist())
+
     def test_write_csv_matches_row_oracle_across_blocks(self, tmp_path):
         rng = np.random.default_rng(47)
         rows = 2 * SWEEP_BLOCK_POINTS + 5

@@ -6,8 +6,8 @@ Usage, from the root of a source checkout:
         --pairs N --seconds S --label L
     python3 tools/paired_bench.py --self-test
 
-REF is checked out with ``git worktree add --detach`` into a temporary
-directory, which is removed when the script ends. For each workload in
+REF is exported with ``git archive`` into a temporary directory, which is
+removed when the script ends. For each workload in
 turn, pair i (from 1) runs the unchanged
 ``perfbench/run.py --workload W --seed i --seconds S --trace 0`` once in the
 base tree and once in this checkout, with PYTHONDONTWRITEBYTECODE=1 and the
@@ -22,7 +22,9 @@ BENCHMARK.json, both medians, the base's quartiles and interquartile range,
 the number of pairs the change won, the metric's bound and whether the
 change's median is worse than the base's by no more than bound x base
 (null, unresolved, where the base's interquartile range is wider than
-bound x base and not every change run beats every base run).
+bound x base and not every change run beats every base run), and whether
+a gain is shown: the change won at least 9 of 10 pairs (ties count for
+neither side) and its median gain exceeds the base's interquartile range.
 
 ``--self-test`` compares HEAD with this checkout, one pair of 1 s per
 workload of BENCHMARK.json, writes no file, and exits 0 only when every
@@ -95,8 +97,8 @@ def run_pairs(trees: dict, workload: str, pairs: int,
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: both medians, the base's quartiles, the pairs won and
-    the verdict against the metric's bound."""
+    """Per metric: both medians, the base's quartiles, the pairs won, the
+    verdict against the metric's bound and whether a gain is shown."""
     summary = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -131,6 +133,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "change_won_pairs": won,
             "pairs": len(runs),
             "median_gain_exceeds_base_iqr": None if iqr is None else gain > iqr,
+            "gain_shown": None if iqr is None
+            else 10 * won >= 9 * len(runs) and gain > iqr,
             "bound": metric["bound"],
             "within_bound": None if unresolved else -gain <= allowed,
         }
@@ -138,18 +142,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
 
 def with_base(ref: str, action):
-    """Run ``action(trees)`` with ``ref`` checked out; always remove it."""
-    parent = Path(tempfile.mkdtemp(prefix="paired-bench-"))
-    tree = parent / "base"
+    """Run ``action(trees)`` with ``ref`` exported; always remove it."""
+    tree = Path(tempfile.mkdtemp(prefix="paired-bench-"))
     try:
-        git("worktree", "add", "--detach", "--quiet", str(tree), ref)
+        archive = subprocess.run(["git", "archive", ref], cwd=ROOT, check=True,
+                                 stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
         return action({"base": tree, "change": ROOT})
     finally:
-        if tree.exists():
-            subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
-                           cwd=ROOT, check=False)
-        shutil.rmtree(parent, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
+        shutil.rmtree(tree, ignore_errors=True)
 
 
 def benchmark_spec() -> dict:
