@@ -7,8 +7,8 @@ Usage, from the root of a source checkout:
     python3 tools/paired_bench.py --self-test
 
 REF is exported with ``git archive`` into a temporary directory, which is
-removed when the script ends. For each workload in
-turn, pair i (from 1) runs the unchanged
+removed when the script ends. For each workload in turn, pair i (from 1)
+runs the unchanged
 ``perfbench/run.py --workload W --seed i --seconds S --trace 0`` once in the
 base tree and once in this checkout, with PYTHONDONTWRITEBYTECODE=1 and the
 base running first in odd pairs, the change in even ones. The result is
