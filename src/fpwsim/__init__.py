@@ -1,6 +1,6 @@
 """Flexural plate wave resonator simulation and liquid density sensing."""
 
-from .plate_materials import CompositePlate, MaterialLayer
+from .plate_materials import CompositePlate, MaterialLayer, unloaded_velocity
 from .fpw_dispersion import (
     ConvergenceError,
     LiquidLoad,
@@ -11,7 +11,6 @@ from .fpw_dispersion import (
     evanescent_decay_length,
     loaded_velocity,
     sensitivities,
-    unloaded_velocity,
 )
 from .com_resonator import (
     ComParameters,
@@ -19,7 +18,6 @@ from .com_resonator import (
     FrequencyResponse,
     NoResonanceError,
     ResonanceSummary,
-    array_factor,
     design_spacing,
     find_resonance,
     fpw_device_response,

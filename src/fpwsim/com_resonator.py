@@ -178,10 +178,6 @@ class ComParameters:
         if not 0 <= self.attenuation < math.inf:
             raise ValueError("attenuation must be >= 0")
 
-    def center_frequency(self, wavelength: float) -> float:
-        """Synchronous frequency v / wavelength (Hz)."""
-        return self.free_velocity / wavelength
-
 
 @dataclass(frozen=True)
 class FrequencyResponse:
@@ -242,7 +238,7 @@ def design_spacing(index: int, wavelength: float) -> float:
 
 def _exact_center(geometry: DeviceGeometry, params: ComParameters):
     """(f0, f0_low): f0 = v / wavelength and the rest of the exact quotient."""
-    f0 = params.center_frequency(geometry.wavelength)
+    f0 = params.free_velocity / geometry.wavelength
     exact = Fraction(params.free_velocity) / Fraction(geometry.wavelength)
     return f0, float(exact - Fraction(f0)) if f0 < math.inf else 0.0
 
@@ -320,36 +316,26 @@ def grating_scattering(
     return g10[0] / g00[0], 1.0 / g00[0]
 
 
-def array_factor(frequency, center_frequency: float, pairs: int):
-    """Normalized sin(x)/x response of a uniform finger-pair array.
+def _launch_amplitude(frequencies, f0, geometry, params):
+    """Launch amplitude mu of one IDT port at each of ``frequencies``, an
+    array, with the synchronous frequency f0 = v / wavelength of the sweep's
+    ``_exact_center``.
 
-    Unity at the synchronous frequency, first nulls at
-    center_frequency * (1 +- 1/pairs). ``frequency`` may be an array.
+    The finger pairs launch with the array factor sin(x)/x, x = pairs pi (f
+    - f0) / f0: unity at f0, first nulls at f0 (1 +- 1/pairs). The port sees
+    a radiation conductance G = |transduction|^2 Y0 scaled by the squared
+    array factor and the aperture, in parallel with the static finger
+    capacitance: Y = G + i B against the reference Y0 = PORT_ADMITTANCE. It
+    accepts the power 1 - |reflection|^2 = 4 Y0 G / |Y0 + Y|^2 and radiates
+    it in equal halves, so |mu| = sqrt(2 Y0 G) / |Y0 + Y| <= 1 / sqrt(2),
+    passive for any parameter values. As sqrt(2 Y0 G) = Y0 |transduction|
+    |array factor| sqrt(2 aperture), mu is computed as sqrt(2 aperture) Y0
+    transduction (array factor) / |Y0 + Y|: the transduction carries the
+    phase and the array factor the sign, and zero transduction or an
+    array-factor null launches nothing.
     """
-    x = pairs * math.pi * (frequency - center_frequency) / center_frequency
-    return np.sinc(x / math.pi)
-
-
-def port_coupling(frequencies, geometry: DeviceGeometry, params: ComParameters):
-    """Launch amplitude mu of one IDT port, an array shaped like
-    ``frequencies``.
-
-    The port sees a radiation conductance G = |transduction|^2 Y0 scaled by
-    the squared array factor and the aperture, in parallel with the static
-    finger capacitance: Y = G + i B against the reference Y0 =
-    PORT_ADMITTANCE. It accepts the power 1 - |reflection|^2 = 4 Y0 G /
-    |Y0 + Y|^2 and radiates it in equal halves, so |mu| = sqrt(2 Y0 G) /
-    |Y0 + Y| <= 1 / sqrt(2), passive for any parameter values. As sqrt(2 Y0
-    G) = Y0 |transduction| |array factor| sqrt(2 aperture), mu is computed
-    as sqrt(2 aperture) Y0 transduction (array factor) / |Y0 + Y|: the
-    transduction carries the phase and the array factor the sign, and zero
-    transduction or an array-factor null launches nothing.
-    """
-    frequencies = np.asarray(frequencies, dtype=float)
-    lobe = array_factor(
-        frequencies, params.center_frequency(geometry.wavelength),
-        geometry.idt_pairs,
-    )
+    x = geometry.idt_pairs * math.pi * (frequencies - f0) / f0
+    lobe = np.sinc(x / math.pi)
     aperture = geometry.overlap / REFERENCE_OVERLAP
     capacitance = (
         params.static_capacitance_per_pair * geometry.idt_pairs * aperture
@@ -405,9 +391,10 @@ def _s21_block(frequencies, geometry, params, center, drive_port, u, v):
     shape, stretch, kappa, carrier = _grating_terms(
         frequencies, geometry, params, center
     )
-    mu = port_coupling(frequencies, geometry, params)
+    mu = _launch_amplitude(frequencies, center[0], geometry, params)
     turned = kappa / (carrier * carrier)
-    tap2 = 1.0 - np.abs(mu) ** 2
+    size = np.abs(mu)
+    tap2 = 1.0 - size**2
     tap = np.sqrt(tap2)
     e = shape * u[0] / tap
     p = stretch * u[1]
@@ -425,6 +412,13 @@ def _s21_block(frequencies, geometry, params, center, drive_port, u, v):
             1j * (kappa.conjugate() + turned)
         )
     s21 = mu * mu * pickup / denom
+    # Where 0 < |mu| < 2^-511, mu * mu falls below the normal range and
+    # loses digits of an S21 that pickup / denom lifts back up; there mu
+    # multiplies last.
+    tiny = np.flatnonzero((size > 0.0) & (size < 2.0**-511))
+    if tiny.size:
+        faint = mu[tiny]
+        s21[tiny] = faint * (faint * pickup[tiny] / denom[tiny])
     solved = np.isfinite(denom) & np.isfinite(s21)
     s21[~solved] = complex(np.nan, np.nan)
     return s21

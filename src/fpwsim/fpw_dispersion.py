@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
 from .plate_materials import CompositePlate, evanescent_decay_length
-from .plate_materials import unloaded_velocity  # re-exported from here
 
 if TYPE_CHECKING:
     from .liquid_sensing import LiquidSample
@@ -155,7 +154,7 @@ def _phase_velocity(
     an array of densities when ``sqrt`` is an array square root. Densities
     that overflow h * h give NaN, unchecked: on the bundled plate above about
     3e211 kg/m^3 at 10 Pa*s, 1.5e214 at 1e-3 Pa*s."""
-    bending, delta_e, _ = plate.wave_constants(wavelength)
+    bending, delta_e = plate.wave_constants(wavelength)
     stiffness = tension + bending
     base_mass = plate.mass_per_area + rho * delta_e
     v0 = sqrt(stiffness / base_mass)
@@ -203,7 +202,7 @@ def sensitivities(
     (m^3/kg, negative), s_T per unit tension (m/N). Both are evaluated at
     the current density and tension, inviscid limit.
     """
-    bending, delta_e, _ = plate.wave_constants(wavelength)
+    bending, delta_e = plate.wave_constants(wavelength)
     rho = loading.liquid.density if loading.liquid is not None else 0.0
     s_m = -delta_e / (2.0 * (plate.mass_per_area + rho * delta_e))
     return s_m, tension_sensitivity(loading.tension, bending)
@@ -236,7 +235,7 @@ def density_from_frequency(
         raise ValueError("assumed viscosity must be finite and >= 0")
     if not 0 <= tension < math.inf:
         raise ValueError("tension must be finite and >= 0")
-    bending, delta_e, _ = plate.wave_constants(wavelength)
+    bending, delta_e = plate.wave_constants(wavelength)
     stiffness = tension + bending
     areal_mass = plate.mass_per_area
     unloaded_f = math.sqrt(stiffness / areal_mass) / wavelength

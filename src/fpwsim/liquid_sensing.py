@@ -74,12 +74,9 @@ class CalibrationFit:
         """Slope converted to MHz per g/cm^3 for reporting."""
         return self.slope * 1.0e-3
 
+    @cached_property
     def frequency_range(self) -> tuple[float, float]:
         """(min, max) of the fitted frequencies, found once per fit."""
-        return self._frequency_range
-
-    @cached_property
-    def _frequency_range(self) -> tuple[float, float]:
         freqs = [f for _, f in self.points]
         return min(freqs), max(freqs)
 
@@ -177,7 +174,7 @@ def invert_density_calibrated(
     if fit.slope == 0.0:
         raise DegenerateFitError("calibration slope is zero; cannot invert")
     density = (frequency - fit.intercept) / fit.slope
-    lo, hi = fit.frequency_range()
+    lo, hi = fit.frequency_range
     return density, not lo <= frequency <= hi
 
 

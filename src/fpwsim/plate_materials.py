@@ -50,13 +50,11 @@ def unloaded_velocity(bending: float, areal_mass: float) -> float:
 
 
 class WaveConstants(NamedTuple):
-    """What a plate fixes at one wavelength: the bending term B (N/m), the
-    evanescent decay length delta_E (m) and the unloaded phase velocity
-    sqrt(B / M) (m/s)."""
+    """What a plate fixes at one wavelength: the bending term B (N/m) and the
+    evanescent decay length delta_E (m)."""
 
     bending: float
     decay_length: float
-    unloaded_velocity: float
 
 
 @dataclass(frozen=True)
@@ -185,8 +183,8 @@ class CompositePlate:
         return self.wave_constants(wavelength).bending
 
     def wave_constants(self, wavelength: float) -> WaveConstants:
-        """B, delta_E and sqrt(B / M) at ``wavelength``, derived and validated
-        on first use and then kept by this plate (see ``bending_term``)."""
+        """B and delta_E at ``wavelength``, derived and validated on first use
+        and then kept by this plate (see ``bending_term``)."""
         cache = self._wave_constants
         constants = cache.get(wavelength)
         if constants is None:
@@ -214,4 +212,4 @@ class CompositePlate:
                 "unloaded frequency sqrt(bending_term / mass_per_area) / "
                 "wavelength must be > 0"
             )
-        return WaveConstants(term, evanescent_decay_length(wavelength), velocity)
+        return WaveConstants(term, evanescent_decay_length(wavelength))

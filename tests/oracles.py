@@ -169,22 +169,6 @@ def launch_amplitude(frequency, lobe, geometry, params):
     return magnitude * math.copysign(1.0, lobe) * strength / abs(strength)
 
 
-def capped_launch_magnitude(frequency, lobe, geometry, params):
-    """(|mu|, accepted power 1 - |reflection|^2) by the form the package used
-    before the exact one: the reflection (Y0 - Y) / (Y0 + Y) first, then
-    |mu|^2 = max(0, 1 - |reflection|^2) / 2, which cancels as |reflection|
-    approaches 1."""
-    port_admittance = 0.02
-    aperture = geometry.overlap / 50.0
-    capacitance = params.static_capacitance_per_pair * geometry.idt_pairs * aperture
-    conductance = (abs(params.transduction_strength) ** 2 * port_admittance
-                   * lobe**2 * aperture)
-    admittance = complex(conductance, 2.0 * math.pi * frequency * capacitance)
-    reflection = (port_admittance - admittance) / (port_admittance + admittance)
-    accepted = 1.0 - abs(reflection) ** 2
-    return math.sqrt(max(0.0, accepted) / 2.0), accepted
-
-
 def idt_port(frequency, geometry, params):
     """Launch amplitude mu of one IDT port, with the array factor sin(x) / x
     over the finger pairs (see ``launch_amplitude``)."""
@@ -344,7 +328,13 @@ def former_s21(frequencies, geometry, params, drive_port=1):
                 g01 * (tau0 * g10 / (pg * w) - w * g00 * tau1 / pg)
                 + g00 * (tau1 * g00 * w * w - g10 * tau0)
             )
-        s21 = mu / half * pickup / denom
+        # pickup carries a second factor mu: below |mu| = 2^-511 the
+        # product of the two leaves the normal range, so mu / half then
+        # multiplies last.
+        tiny = (np.abs(mu) > 0.0) & (np.abs(mu) < 2.0**-511)
+        s21 = np.where(
+            tiny, mu / half * (pickup / denom), mu / half * pickup / denom
+        )
         solved = np.isfinite(denom) & (denom != 0) & np.isfinite(s21)
     return np.where(solved, s21, complex(np.nan, np.nan))
 

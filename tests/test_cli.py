@@ -1,6 +1,8 @@
 import errno
+import hashlib
 import itertools
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -1146,3 +1148,87 @@ def test_mutated_inputs_exit_0_1_or_2_without_silent_nan(
     assert status in (0, 1, 2)
     if status == 0:
         assert not re.search(r":\s*[-+]?(nan|inf)\b", out), out
+
+
+# The four bundled runs, their stdout ({csv} stands for the CSV path) and
+# the sha256 of the CSV each writes, as produced with Python 3.11.7 and
+# numpy 2.4.6 on x86_64. Another libm or numpy may move a last digit.
+_PINNED_RUNS = {
+    "s21-bulk-2001": (
+        ["s21", "--bulk", "--points", "2001", "--out"],
+        "mode: bulk\npoints: 2001\ncsv: {csv}\n"
+        "peak_frequency_hz: 6.000000000e+07\n"
+        "peak_magnitude: 7.450035490e-01\n"
+        "insertion_loss_db: -2.556833168e+00\n"
+        "bandwidth_3db_hz: 1.994983803e+05\n"
+        "quality_factor: 3.007543215e+02\n",
+        "ddb26c65f2706578557bd651ac796a28d10b4281bbd96e5be48161fea3210b34",
+    ),
+    "s21-bulk-20001": (
+        ["s21", "--bulk", "--points", "20001", "--out"],
+        "mode: bulk\npoints: 20001\ncsv: {csv}\n"
+        "peak_frequency_hz: 6.000000000e+07\n"
+        "peak_magnitude: 7.450035490e-01\n"
+        "insertion_loss_db: -2.556833168e+00\n"
+        "bandwidth_3db_hz: 1.994377996e+05\n"
+        "quality_factor: 3.008456778e+02\n",
+        "5ad4bca7905f6ff11867867843a34444b6bcaba7cb189e7a516d2eaf4a0cabdf",
+    ),
+    "dispersion-glycerol-sweep": (
+        ["dispersion", "--liquid", "glycerol", "--sweep-out"],
+        "liquid: glycerol\ntension_n_m: 0.000000000e+00\n"
+        "phase_velocity_m_s: 2.241820497e+02\n"
+        "resonant_frequency_hz: 5.604551241e+06\n"
+        "evanescent_length_m: 6.366197724e-06\n"
+        "viscous_length_m: 6.648711012e-06\n"
+        "viscous_mass_kg_m2: 3.989226607e-03\n"
+        "mass_sensitivity_m3_kg: -2.541610639e-05\n"
+        "tension_sensitivity_m_n: 7.698559652e-05\n"
+        "iterations: 0\n"
+        "sound_speed_ratio: 1.512699390e-01\n"
+        "sweep_csv: {csv} (16 rows)\n",
+        "c12e7d56d79e17a165c3f79bb9f9a1b301bc9852fb6b1e856a44aa20948c77d9",
+    ),
+    "s21-fpw-water-viscous": (
+        ["s21", "--fpw", "--liquid", "water", "--viscous-loss", "--out"],
+        "mode: fpw (water)\npoints: 2001\ncsv: {csv}\n"
+        "peak_frequency_hz: 5.719553314e+06\n"
+        "peak_magnitude: 6.058087642e-01\n"
+        "insertion_loss_db: -4.353288961e+00\n"
+        "bandwidth_3db_hz: 2.731854433e+04\n"
+        "quality_factor: 2.093652299e+02\n",
+        "09c6d2c0110b2e2406adad5222f8f4789a2ca91d3ed50d70c1c08c929935e9ff",
+    ),
+}
+
+
+_PINNED_PLATFORM = pytest.mark.skipif(
+    (sys.version.split()[0], np.__version__, platform.machine())
+    != ("3.11.7", "2.4.6", "x86_64"),
+    reason="outputs pinned with Python 3.11.7 and numpy 2.4.6 on x86_64; "
+    "another libm or numpy may move a last digit",
+)
+
+
+@_PINNED_PLATFORM
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_bundled_outputs_pinned(tmp_path, name):
+    argv, stdout, digest = _PINNED_RUNS[name]
+    csv = tmp_path / "out.csv"
+    result = run([*argv, str(csv)])
+    assert (result.exit_status, result.errors) == (0, ())
+    assert "".join(line + "\n" for line in result.summary) == stdout.format(
+        csv=csv
+    )
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+
+@_PINNED_PLATFORM
+def test_bundled_sweep_bits_pinned():
+    # The CSV prints ten digits, so it misses a change of a few ulp; the
+    # sweep's own doubles do not.
+    cfg = parse_device_config(_bundled("reference_device.cfg"))
+    s21 = s21_sweep(cfg.geometry, cfg.com_parameters(), points=2001).s21
+    assert hashlib.sha256(s21.tobytes()).hexdigest() == (
+        "65646fa687172b646ae6a30e8de78584f042951a730e6e4f8bc3114d482c7732"
+    )

@@ -23,7 +23,6 @@ from fpwsim import (
     LiquidLoad,
     LoadingState,
     NoResonanceError,
-    array_factor,
     design_spacing,
     find_resonance,
     fpw_device_response,
@@ -38,14 +37,13 @@ from fpwsim.com_resonator import (
     PORT_ADMITTANCE,
     REFERENCE_OVERLAP,
     SWEEP_BLOCK_POINTS,
+    _launch_amplitude,
     format_csv_rows,
-    port_coupling,
     write_csv,
 )
 from conftest import WAVELENGTH, assert_refusal, range_cases
 from oracles import (
     bragg_reflection_magnitude,
-    capped_launch_magnitude,
     chain_elements,
     chain_s21,
     former_s21,
@@ -252,7 +250,7 @@ def _ports(draw, magnitudes=st.one_of(st.just(0.0), st.floats(1e-12, 0.999))):
         transduction_strength=magnitude
         * cmath.exp(1j * draw(st.floats(-math.pi, math.pi))),
     )
-    f0 = params.center_frequency(geometry.wavelength)
+    f0 = params.free_velocity / geometry.wavelength
     pairs = geometry.idt_pairs
     null = st.integers(1 - pairs, pairs).filter(bool)
     frequency = draw(st.one_of(
@@ -262,8 +260,8 @@ def _ports(draw, magnitudes=st.one_of(st.just(0.0), st.floats(1e-12, 0.999))):
     return frequency, geometry, params
 
 
-# The bundled bulk device at its m = 2 array-factor null, where the capped
-# form left |mu| at 3.2e-8 of its peak.
+# The bundled bulk device at its m = 2 array-factor null, where |mu| taken
+# from 1 - |reflection|^2 cancels to 3.2e-8 of its peak.
 BULK_NULL = (
     66e6,
     DeviceGeometry(wavelength=WAVELENGTH, grating_gap=design_spacing(0, WAVELENGTH)),
@@ -271,57 +269,57 @@ BULK_NULL = (
 )
 
 
+def _mu(frequencies, geometry, params):
+    """The package's launch amplitude at ``frequencies``, about the
+    synchronous frequency v / wavelength."""
+    f0 = params.free_velocity / geometry.wavelength
+    return _launch_amplitude(
+        np.asarray(frequencies, dtype=float), f0, geometry, params
+    )
+
+
+def _lobe(frequency, geometry, params):
+    """The array factor by the package's own expression."""
+    f0 = params.free_velocity / geometry.wavelength
+    x = geometry.idt_pairs * math.pi * (frequency - f0) / f0
+    return float(np.sinc(x / math.pi))
+
+
 class TestIdtMatrix:
     def test_zero_transduction_decouples(self, bulk_geometry):
         params = ComParameters(free_velocity=2400.0, transduction_strength=0.0)
         freqs = np.linspace(0.9 * BULK_F0, 1.1 * BULK_F0, 201)
-        mu = port_coupling(freqs, bulk_geometry, params)
+        mu = _mu(freqs, bulk_geometry, params)
         assert np.all(mu == 0.0)
         for port in (1, 2):
             response = s21_sweep(bulk_geometry, params, points=201, drive_port=port)
             assert response.gap_indices == ()
             assert np.all(response.s21 == 0.0)
 
-    def test_array_factor_peak_and_nulls(self):
-        assert array_factor(BULK_F0, BULK_F0, 20) == 1.0
-        assert array_factor(57e6, BULK_F0, 20) == pytest.approx(0.0, abs=1e-12)
-        assert array_factor(63e6, BULK_F0, 20) == pytest.approx(0.0, abs=1e-12)
+    def test_array_factor_peak_and_nulls(self, bulk_geometry):
+        # Unity at f0 = 60 MHz, first nulls at f0 (1 +- 1/20).
+        params = ComParameters(free_velocity=2400.0)
+        mu = _mu([BULK_F0, 57e6, 63e6], bulk_geometry, params)
+        assert mu[0] == pytest.approx(
+            launch_amplitude(BULK_F0, 1.0, bulk_geometry, params),
+            rel=1e-15, abs=0.0,
+        )
+        assert np.all(np.abs(mu[1:]) <= 1e-12 * abs(mu[0]))
 
     @settings(max_examples=300, deadline=None)
     @given(case=_ports())
     @example(case=BULK_NULL)
+    @example(case=(BULK_F0, *BULK_NULL[1:]))
     def test_launch_amplitude_matches_exact_form(self, case):
         # The oracle takes the package's array factor, so this checks mu,
         # not sinc, also at the nulls. 2 |mu|^2 = 1 - |reflection|^2 <= 1
         # holds exactly in real arithmetic; rounding may add a few ulp.
         frequency, geometry, params = case
-        mu = port_coupling([frequency], geometry, params)[0]
-        lobe = array_factor(
-            frequency, params.center_frequency(geometry.wavelength),
-            geometry.idt_pairs,
-        )
-        exact = launch_amplitude(frequency, float(lobe), geometry, params)
+        mu = _mu([frequency], geometry, params)[0]
+        lobe = _lobe(frequency, geometry, params)
+        exact = launch_amplitude(frequency, lobe, geometry, params)
         assert abs(mu - exact) <= 1e-12 * abs(exact)
         assert 2.0 * abs(mu) ** 2 <= 1.0 + 1e-14
-
-    @settings(max_examples=300, deadline=None)
-    @given(case=_ports(st.floats(0.01, 0.999)))
-    @example(case=(BULK_F0, *BULK_NULL[1:]))
-    def test_capped_form_agrees_where_well_conditioned(self, case):
-        # The former |mu|^2 = (1 - |reflection|^2) / 2 cancels only as
-        # |reflection| -> 1; where the port accepts at least 1e-3 of the
-        # power, moving the oracles to the exact form changes nothing.
-        frequency, geometry, params = case
-        mu = port_coupling([frequency], geometry, params)[0]
-        lobe = array_factor(
-            frequency, params.center_frequency(geometry.wavelength),
-            geometry.idt_pairs,
-        )
-        capped, accepted = capped_launch_magnitude(
-            frequency, float(lobe), geometry, params
-        )
-        if accepted >= 1e-3:
-            assert abs(capped - abs(mu)) <= 1e-12 * abs(mu)
 
     def test_weak_port_launch_amplitude_is_exact(self, bulk_geometry):
         # 1 - |reflection|^2 = 4 Y0 G / |Y0 + Y|^2 exactly, so with no
@@ -330,8 +328,8 @@ class TestIdtMatrix:
             free_velocity=2400.0, transduction_strength=1e-7,
             static_capacitance_per_pair=0.0,
         )
-        mu = port_coupling([BULK_F0], bulk_geometry, params)
-        lobe = array_factor(BULK_F0, BULK_F0, bulk_geometry.idt_pairs)
+        mu = _mu([BULK_F0], bulk_geometry, params)
+        lobe = _lobe(BULK_F0, bulk_geometry, params)
         aperture = bulk_geometry.overlap / REFERENCE_OVERLAP
         conductance = 1e-14 * PORT_ADMITTANCE * lobe**2 * aperture
         exact = math.sqrt(2.0 * PORT_ADMITTANCE * conductance) / (
@@ -600,6 +598,13 @@ def _nudge_spread(frequencies, geometry, params, drive_port, former):
     return spread
 
 
+# One finger pair between gratings on a 1 mm wavelength at 10 m/s.
+TINY_LAUNCH_GEOMETRY = DeviceGeometry(
+    wavelength=1e-3, idt_pairs=1, grating_strips=9, overlap=12.0,
+    idt_separation=1.0, grating_gap=0.0,
+)
+
+
 class TestStepTableSweep:
     """The sweep's step tables and one-exp hyperbolics against the former
     closed form, which evaluated seven transcendentals at every point."""
@@ -633,6 +638,18 @@ class TestStepTableSweep:
         window=None,
         drive_port=1,
     )
+    # A transduction of 9.7e-163 near a 9-strip grating's resonance: S21 is
+    # subnormal while |pickup / denom| is large.
+    @example(
+        geometry=TINY_LAUNCH_GEOMETRY,
+        params=ComParameters(
+            free_velocity=10.0, strip_reflectivity=0.125,
+            transduction_strength=9.67516068424397e-163,
+        ),
+        points=2047,
+        window=None,
+        drive_port=1,
+    )
     def test_matches_former_closed_form(
         self, geometry, params, points, window, drive_port
     ):
@@ -641,9 +658,11 @@ class TestStepTableSweep:
         # plus, at high-finesse resonances, how far the former form itself
         # moves under a 4-ulp change of frequency: there S21 is only as
         # exact as the rounding of phases of up to ~1e4 rad, in both forms.
+        # Where S21 is subnormal the two forms round in their own order, a
+        # step of 2^-1074 apart each; 4 such steps are allowed.
         f_start = f_stop = None
         if window is not None:
-            f0 = params.center_frequency(geometry.wavelength)
+            f0 = params.free_velocity / geometry.wavelength
             f_start, f_stop = window[0] * f0, (window[0] + window[1]) * f0
         response = s21_sweep(geometry, params, f_start, f_stop, points, drive_port)
         former = former_s21(response.frequencies, geometry, params, drive_port)
@@ -656,7 +675,34 @@ class TestStepTableSweep:
             response.frequencies, geometry, params, drive_port, former
         )
         error = np.abs(response.s21 - former)
-        assert np.all(error[solved] <= 1e-11 * peak + spread[solved])
+        assert np.all(
+            error[solved] <= 1e-11 * peak + spread[solved] + 4 * 2.0**-1074
+        )
+
+    @pytest.mark.parametrize("drive_port", [1, 2])
+    @pytest.mark.parametrize(
+        "strips, reflectivity, transduction",
+        [(9, 0.125, 9.67516068424397e-163), (120, 0.19, 1e-162)],
+    )
+    def test_tiny_launch_amplitude_exact_to_subnormal_step(
+        self, strips, reflectivity, transduction, drive_port
+    ):
+        # Below |mu| = 2^-511 S21 is subnormal, yet exact to its grid: the
+        # reference is the same sweep at 2^206 times the transduction,
+        # where mu is normal and S21 scales as its square, scaled back by
+        # 2^-412 in one correctly rounded step.
+        geometry = replace(TINY_LAUNCH_GEOMETRY, grating_strips=strips)
+        params = ComParameters(
+            free_velocity=10.0, strip_reflectivity=reflectivity,
+            transduction_strength=transduction,
+        )
+        s21 = s21_sweep(geometry, params, points=2047, drive_port=drive_port).s21
+        louder = replace(params, transduction_strength=transduction * 2.0**206)
+        reference = s21_sweep(
+            geometry, louder, points=2047, drive_port=drive_port
+        ).s21 * 2.0**-412
+        assert np.count_nonzero(reference) > 0
+        assert np.array_equal(s21, reference)
 
     def test_design_space_within_1e_11_of_peak(self, bulk_geometry, bulk_params):
         # The benchmark's design draws at its 20001 points, with no

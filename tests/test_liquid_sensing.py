@@ -185,8 +185,8 @@ class TestInvertDensityCalibrated:
         fit = fit_density_sensitivity(CALIBRATION_POINTS)
         fresh = fit_density_sensitivity(CALIBRATION_POINTS)
         text = repr(fit)
-        assert fit.frequency_range() == (4.59e6, 4.94e6)
-        assert fit.frequency_range() is fit.frequency_range()
+        assert fit.frequency_range == (4.59e6, 4.94e6)
+        assert fit.frequency_range is fit.frequency_range
         assert fit == fresh
         assert hash(fit) == hash(fresh)
         assert repr(fit) == text

@@ -167,12 +167,11 @@ class TestBendingTerm:
 
 
 def former_wave_constants(plate, wavelength):
-    """B, delta_E and sqrt(B / M) by the expressions each caller evaluated
-    before the plate kept them."""
+    """B and delta_E by the expressions each caller evaluated before the
+    plate kept them."""
     rigidity = plate.plate_modulus * plate.total_thickness**3 / 12.0
     bending = rigidity * (2.0 * math.pi / wavelength) ** 2
-    velocity = math.sqrt(bending / plate.mass_per_area)
-    return bending, wavelength / (2.0 * math.pi), velocity
+    return bending, wavelength / (2.0 * math.pi)
 
 
 LAYERS = st.lists(
