@@ -213,9 +213,17 @@ class ResonanceSummary:
 
     peak_frequency: float
     peak_magnitude: float
-    insertion_loss_db: float
     bandwidth_3db: float
-    quality_factor: float
+
+    @property
+    def insertion_loss_db(self) -> float:
+        """20 log10 of the peak |S21| (dB)."""
+        return 20.0 * math.log10(self.peak_magnitude)
+
+    @property
+    def quality_factor(self) -> float:
+        """Loaded Q: peak frequency over the -3 dB bandwidth."""
+        return self.peak_frequency / self.bandwidth_3db
 
 
 def design_spacing(index: int, wavelength: float) -> float:
@@ -493,52 +501,47 @@ def _crossing(freqs, mags, i_from, i_to, target):
 def find_resonance(response: FrequencyResponse) -> ResonanceSummary:
     """Locate the global |S21| peak and its -3 dB bandwidth.
 
-    Gap points are skipped: each -3 dB crossing is interpolated between
-    the nearest finite points on either side of it. Raises
-    NoResonanceError for flat responses, for peaks sitting on the sweep
-    boundary (monotone responses), when a -3 dB crossing is not bracketed
-    inside the sweep, and when the bandwidth comes out non-finite.
+    Gap points are dropped first, so each -3 dB crossing is interpolated
+    between neighbouring finite points. Raises NoResonanceError for flat
+    responses, for peaks sitting on the sweep boundary (monotone
+    responses), when a -3 dB crossing is not bracketed inside the sweep,
+    and unless the bandwidth is positive and finite with a finite Q.
     """
-    mags = np.abs(response.s21)
+    freqs, mags = response.frequencies, np.abs(response.s21)
     valid = np.isfinite(mags)
-    if not np.any(valid):
+    if not valid.all():
+        freqs, mags = freqs[valid], mags[valid]
+    if len(mags) == 0:
         raise NoResonanceError("response contains no finite points")
-    peak = int(np.argmax(np.where(valid, mags, -np.inf)))
+    peak = int(np.argmax(mags))
     peak_mag = float(mags[peak])
-    # Gaps rank above every finite point, so they are never below -3 dB.
-    ranked = np.where(valid, mags, np.inf)
-    if peak_mag <= 0 or float(np.min(ranked)) == peak_mag:
+    if float(np.min(mags)) == peak_mag:
         raise NoResonanceError("response is flat; no resonance to extract")
-    if peak == 0 or peak == len(mags) - 1:
+    # An end finite point is the sweep boundary only if the sweep ends
+    # there; past a gap, its crossing is left unbracketed instead.
+    if (peak == 0 and valid[0]) or (peak == len(mags) - 1 and valid[-1]):
         raise NoResonanceError("|S21| maximum sits on the sweep boundary")
 
     target = peak_mag / math.sqrt(2.0)
-    freqs = response.frequencies
-    below = ranked <= target
-    outward_left, outward_right = below[peak - 1::-1], below[peak + 1:]
+    below = mags <= target
+    outward_left, outward_right = below[:peak][::-1], below[peak + 1:]
     if not (np.any(outward_left) and np.any(outward_right)):
         raise NoResonanceError("-3 dB bandwidth is not bracketed by the sweep")
-    # The finite points below -3 dB nearest the peak; each crossing lies
-    # between one of them and its nearest finite neighbour toward the peak.
+    # The points below -3 dB nearest the peak; each crossing lies between
+    # one of them and its neighbour toward the peak.
     i_left = peak - 1 - int(np.argmax(outward_left))
     i_right = peak + 1 + int(np.argmax(outward_right))
-    j_left = i_left + 1 + int(np.argmax(valid[i_left + 1:]))
-    j_right = i_right - 1 - int(np.argmax(valid[i_right - 1::-1]))
-    left = _crossing(freqs, mags, i_left, j_left, target)
-    right = _crossing(freqs, mags, i_right, j_right, target)
+    left = _crossing(freqs, mags, i_left, i_left + 1, target)
+    right = _crossing(freqs, mags, i_right, i_right - 1, target)
 
-    bandwidth = float(right - left)
-    peak_frequency = float(freqs[peak])
-    quality = peak_frequency / bandwidth
-    if not (math.isfinite(bandwidth) and math.isfinite(quality)):
-        raise NoResonanceError(f"-3 dB bandwidth {bandwidth} is not finite")
-    return ResonanceSummary(
-        peak_frequency=peak_frequency,
-        peak_magnitude=peak_mag,
-        insertion_loss_db=20.0 * math.log10(peak_mag),
-        bandwidth_3db=bandwidth,
-        quality_factor=quality,
-    )
+    summary = ResonanceSummary(float(freqs[peak]), peak_mag, float(right - left))
+    if not (0 < summary.bandwidth_3db < math.inf
+            and math.isfinite(summary.quality_factor)):
+        raise NoResonanceError(
+            f"-3 dB bandwidth {summary.bandwidth_3db} is not a positive "
+            "finite width with a finite Q"
+        )
+    return summary
 
 
 # Tables of format_csv_rows: words of ASCII bytes, little-endian.

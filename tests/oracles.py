@@ -9,9 +9,11 @@ transfer-matrix chain (instead of the closed form evaluated over the
 frequency axis), from element matrices written here in scalar ``cmath``,
 and by the closed form as the sweep evaluated it before its step tables.
 The CSV writers format one value at a time with Python's own ``%.9e``
-(instead of the array kernel). The values the loading records derive on
-read are given by the formulas that computed them when the records stored
-them. Nothing here imports ``fpwsim``.
+(instead of the array kernel), and the resonance is found by walking the
+sweep point by point over its gaps (instead of dropping them first). The
+values the loading records derive on read are given by the formulas that
+computed them when the records stored them. Nothing here imports
+``fpwsim``.
 """
 
 import cmath
@@ -137,6 +139,57 @@ def lorentzian_magnitude(freqs, center, half_width):
     """|S21| of a single resonance with the given half-power half-width."""
     return [1.0 / math.sqrt(1.0 + ((f - center) / half_width) ** 2)
             for f in freqs]
+
+
+def loop_resonance(freqs, s21):
+    """(peak frequency, peak |S21|, insertion loss dB, -3 dB bandwidth, Q).
+
+    One point at a time over the whole sweep, gaps (non-finite |S21|) in
+    place: the peak is the first largest finite point, and each -3 dB
+    crossing is interpolated between the first finite point at or below
+    -3 dB met walking out from the peak and the finite point walked over
+    just before it. Raises ValueError with the package's refusal texts.
+    """
+    mags = [abs(complex(s)) for s in s21]
+    finite = [i for i, m in enumerate(mags) if math.isfinite(m)]
+    if not finite:
+        raise ValueError("response contains no finite points")
+    peak = finite[0]
+    for i in finite:
+        if mags[i] > mags[peak]:
+            peak = i
+    top = mags[peak]
+    if all(mags[i] == top for i in finite):
+        raise ValueError("response is flat; no resonance to extract")
+    if peak == 0 or peak == len(mags) - 1:
+        raise ValueError("|S21| maximum sits on the sweep boundary")
+
+    target = top / math.sqrt(2.0)
+
+    def crossing(step):
+        inner, i = peak, peak + step
+        while 0 <= i < len(mags):
+            if mags[i] <= target:
+                f1, f2, m1, m2 = freqs[i], freqs[inner], mags[i], mags[inner]
+                return f1 + (target - m1) * (f2 - f1) / (m2 - m1)
+            if math.isfinite(mags[i]):
+                inner = i
+            i += step
+        return None
+
+    left, right = crossing(-1), crossing(1)
+    if left is None or right is None:
+        raise ValueError("-3 dB bandwidth is not bracketed by the sweep")
+    bandwidth = float(right - left)
+    peak_frequency = float(freqs[peak])
+    if not (0 < bandwidth < math.inf
+            and math.isfinite(peak_frequency / bandwidth)):
+        raise ValueError(
+            f"-3 dB bandwidth {bandwidth} is not a positive finite width "
+            "with a finite Q"
+        )
+    return (peak_frequency, top, 20.0 * math.log10(top), bandwidth,
+            peak_frequency / bandwidth)
 
 
 def launch_amplitude(frequency, lobe, geometry, params):

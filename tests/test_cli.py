@@ -808,6 +808,16 @@ class TestFitInvertCommands:
                 2, (), ("calibration points overflow the fit",)
             )
 
+    def test_slope_that_overflows_exits_2(self, tmp_path):
+        # Sxx is finite, but the frequency spread over it is not.
+        path = tmp_path / "steep.txt"
+        path.write_text("0 1e308\n1000 -1e308\n")
+        for command in (["fit"], ["invert", "--freq", "4.5e6"]):
+            result = run([*command, "--points", str(path)])
+            assert (result.exit_status, result.summary, result.errors) == (
+                2, (), ("calibration points overflow the fit",)
+            )
+
     def test_invert_out_of_range_warns(self, points_file):
         result = run(["invert", "--freq", "6.5e6", "--points", points_file])
         assert result.exit_status == 0

@@ -1,6 +1,7 @@
 import cmath
 import errno
 import hashlib
+import itertools
 import math
 import os
 import stat
@@ -49,6 +50,7 @@ from oracles import (
     former_s21,
     grating_matrix,
     launch_amplitude,
+    loop_resonance,
     lorentzian_magnitude,
     reference_csv,
     reference_sweep_csv,
@@ -730,6 +732,23 @@ class TestStepTableSweep:
                 assert np.max(np.abs(response.s21 - former)) <= 1e-11 * peak
 
 
+@st.composite
+def _small_responses(draw):
+    """(frequencies, s21) of 1-13 points. S21 is real, so |S21| is exact;
+    values repeat often enough for ties and flat sweeps, and NaN and
+    infinite points make gaps anywhere, the ends included."""
+    points = draw(st.integers(1, 13))
+    steps = draw(st.lists(st.floats(0.5, 100.0), min_size=points - 1,
+                          max_size=points - 1))
+    values = st.one_of(
+        st.sampled_from((0.0, 0.5, 1.0, -1.0, math.nan, math.inf, -math.inf)),
+        st.floats(-2.0, 2.0),
+    )
+    start = draw(st.floats(-1e3, 1e3))
+    return (list(itertools.accumulate(steps, initial=start)),
+            draw(st.lists(values, min_size=points, max_size=points)))
+
+
 class TestFindResonance:
     @staticmethod
     def _response(freqs, mags):
@@ -760,6 +779,32 @@ class TestFindResonance:
         freqs = np.linspace(59e6, 61e6, 101)
         with pytest.raises(NoResonanceError):
             find_resonance(self._response(freqs, np.full(101, 0.5)))
+
+    def test_bandwidth_rounding_to_zero_rejected(self):
+        # Both -3 dB crossings round onto the peak's frequency.
+        response = self._response([1e16, 1e16 + 2, 1e16 + 4], [0.1, 1.0, 0.1])
+        with pytest.raises(NoResonanceError) as caught:
+            find_resonance(response)
+        assert str(caught.value) == (
+            "-3 dB bandwidth 0.0 is not a positive finite width with a finite Q"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_small_responses())
+    @example(case=([1e16, 1e16 + 2, 1e16 + 4], [0.1, 1.0, 0.1]))
+    def test_matches_loop_oracle(self, case):
+        freqs, s21 = case
+        try:
+            expected = loop_resonance(freqs, s21)
+        except ValueError as refusal:
+            with pytest.raises(NoResonanceError) as caught:
+                find_resonance(self._response(freqs, s21))
+            assert str(caught.value) == str(refusal)
+        else:
+            summary = find_resonance(self._response(freqs, s21))
+            assert (summary.peak_frequency, summary.peak_magnitude,
+                    summary.insertion_loss_db, summary.bandwidth_3db,
+                    summary.quality_factor) == expected
 
 
     def test_gap_at_crossing_is_skipped(self, bulk_geometry, bulk_params):
