@@ -791,7 +791,6 @@ class TestFindResonance:
 
     @settings(max_examples=300, deadline=None)
     @given(case=_small_responses())
-    @example(case=([1e16, 1e16 + 2, 1e16 + 4], [0.1, 1.0, 0.1]))
     def test_matches_loop_oracle(self, case):
         freqs, s21 = case
         try:

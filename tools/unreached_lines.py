@@ -76,9 +76,9 @@ def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    package = Path(sys.modules["fpwsim"].__file__).resolve().parent
-    if package != PACKAGE:
-        raise SystemExit(f"fpwsim was imported from {package}, not {PACKAGE}")
+    module = sys.modules.get("fpwsim")
+    if module is None or Path(module.__file__).resolve().parent != PACKAGE:
+        raise SystemExit(f"error: the suite did not import fpwsim from {PACKAGE}")
     return status, {Path(name).name: lines for name, lines in hits.items()}
 
 
