@@ -40,6 +40,7 @@ from .fpw_dispersion import (
     LoadingState,
     NoSolutionError,
     _phase_velocity,
+    _refuse_underflow,
     loaded_velocity,
     sensitivities,
 )
@@ -182,8 +183,11 @@ def _cmd_dispersion(args) -> RunResult:
             frequencies = _phase_velocity(
                 plate, wavelength, args.tension, densities, eta, np.sqrt
             )[0] / wavelength
-        if not (finite := np.isfinite(frequencies)).all():
-            _refuse_non_finite(densities[~finite][0])
+        if not (usable := (frequencies > 0) & (frequencies < np.inf)).all():
+            row = np.flatnonzero(~usable)[0]
+            if frequencies[row] == 0:
+                _refuse_underflow(densities[row])
+            _refuse_non_finite(densities[row])
         write_csv(
             args.sweep_out, "density_kg_m3,frequency_hz", (densities, frequencies)
         )

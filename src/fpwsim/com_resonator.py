@@ -67,7 +67,6 @@ import math
 import os
 import stat
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 import numpy as np
 
 from .fpw_dispersion import LoadingState, loaded_velocity
@@ -76,9 +75,6 @@ from .plate_materials import CompositePlate
 # Electrical reference admittance of the measurement ports (1/50 ohm).
 PORT_ADMITTANCE = 0.02
 
-DEFAULT_STRIP_REFLECTIVITY = 0.02
-DEFAULT_TRANSDUCTION = 0.4
-DEFAULT_CAPACITANCE_PER_PAIR = 1.0e-12
 DEFAULT_SWEEP_POINTS = 2001
 DEFAULT_SWEEP_SPAN = 0.1  # sweep f0 * [1 - span, 1 + span]
 
@@ -156,10 +152,10 @@ class ComParameters:
     """
 
     free_velocity: float
-    strip_reflectivity: float = DEFAULT_STRIP_REFLECTIVITY
+    strip_reflectivity: float = 0.02
     reflection_phase: float = 0.0
-    transduction_strength: complex = DEFAULT_TRANSDUCTION
-    static_capacitance_per_pair: float = DEFAULT_CAPACITANCE_PER_PAIR
+    transduction_strength: complex = 0.4
+    static_capacitance_per_pair: float = 1.0e-12
     attenuation: float = 0.0
 
     def __post_init__(self):
@@ -198,7 +194,9 @@ class FrequencyResponse:
             raise ValueError("frequency response is empty")
         if not np.all(np.isfinite(self.frequencies)):
             raise ValueError("frequencies must be finite")
-        if np.any(np.diff(self.frequencies) <= 0):
+        with np.errstate(over="ignore"):  # a span past the float range is inf
+            steps = np.diff(self.frequencies)
+        if np.any(steps <= 0):
             raise ValueError("frequencies must be strictly increasing")
 
     def magnitude_db(self) -> np.ndarray:
@@ -245,10 +243,19 @@ def design_spacing(index: int, wavelength: float) -> float:
 
 
 def _exact_center(geometry: DeviceGeometry, params: ComParameters):
-    """(f0, f0_low): f0 = v / wavelength and the rest of the exact quotient."""
+    """(f0, f0_low): f0 = v / wavelength and the rest of the exact quotient.
+
+    With v = a/b, wavelength = c/d and f0 = e/g as integer ratios, the rest
+    is (a d g - b c e) / (b c g), one int / int division, which Python
+    rounds correctly. float() admits numpy integers, which have no ratio.
+    """
     f0 = params.free_velocity / geometry.wavelength
-    exact = Fraction(params.free_velocity) / Fraction(geometry.wavelength)
-    return f0, float(exact - Fraction(f0)) if f0 < math.inf else 0.0
+    if f0 == math.inf:
+        return f0, 0.0
+    a, b = float(params.free_velocity).as_integer_ratio()
+    c, d = float(geometry.wavelength).as_integer_ratio()
+    e, g = f0.as_integer_ratio()
+    return f0, (a * d * g - b * c * e) / (b * c * g)
 
 
 def _grating_terms(frequencies, geometry, params, center):
@@ -492,9 +499,10 @@ def s21_sweep(
 
 def _crossing(freqs, mags, i_from, i_to, target):
     """Linear interpolation of the frequency where |S21| crosses target;
-    mags[i_from] <= target < mags[i_to], so the two never tie."""
-    f1, f2 = freqs[i_from], freqs[i_to]
-    m1, m2 = mags[i_from], mags[i_to]
+    mags[i_from] <= target < mags[i_to], so the two never tie. Python floats
+    overflow to inf without the RuntimeWarning of numpy scalars."""
+    f1, f2 = float(freqs[i_from]), float(freqs[i_to])
+    m1, m2 = float(mags[i_from]), float(mags[i_to])
     return f1 + (target - m1) * (f2 - f1) / (m2 - m1)
 
 

@@ -153,7 +153,10 @@ def _phase_velocity(
     mass at the root is m0 x; it is 0 for an inviscid liquid. ``rho`` may be
     an array of densities when ``sqrt`` is an array square root. Densities
     that overflow h * h give NaN, unchecked: on the bundled plate above about
-    3e211 kg/m^3 at 10 Pa*s, 1.5e214 at 1e-3 Pa*s."""
+    3e211 kg/m^3 at 10 Pa*s, 1.5e214 at 1e-3 Pa*s. A velocity that
+    underflows comes back as 0.0, and so does a viscous solve whose v0
+    underflowed (NaN on the array path), unchecked: ``loaded_velocity`` and
+    ``predict_frequency`` refuse a zero frequency with ``_refuse_underflow``."""
     bending, delta_e = plate.wave_constants(wavelength)
     stiffness = tension + bending
     base_mass = plate.mass_per_area + rho * delta_e
@@ -161,7 +164,10 @@ def _phase_velocity(
     if eta == 0:
         return v0, 0.0
     s = 2.0**100 if eta < 1e-200 else 1.0  # exact; keeps a tiny radicand normal
-    m0 = sqrt(rho * (eta * s * s) * wavelength / (4.0 * math.pi * v0)) / s
+    try:
+        m0 = sqrt(rho * (eta * s * s) * wavelength / (4.0 * math.pi * v0)) / s
+    except ZeroDivisionError:  # a float v0 of 0.0
+        return 0.0, 0.0
     eps = m0 / base_mass
     h = eps * eps / 16.0
     a = (h + sqrt(h * h + 1.0 / 27.0)) ** (1.0 / 3.0)
@@ -181,11 +187,22 @@ def loaded_velocity(
     inviscid one, else the positive root of the quartic in v^(-1/2) from
     Ferrari's resolvent cubic. The record keeps that velocity, the viscous
     mass at the root, the wavelength and the liquid, and derives the rest.
+    Raises FloatingPointError where the resonant frequency v / wavelength,
+    or v itself, underflows to 0.
     """
     liquid = loading.liquid
     rho, eta = (0.0, 0.0) if liquid is None else (liquid.density, liquid.viscosity)
     v, m_eta = _phase_velocity(plate, wavelength, loading.tension, rho, eta)
+    if v / wavelength == 0.0:
+        _refuse_underflow(rho)
     return VelocitySolution(v, m_eta, wavelength, liquid)
+
+
+def _refuse_underflow(density: float):
+    raise FloatingPointError(
+        "loaded resonant frequency underflows to 0 at liquid density "
+        f"{density:.6g} kg/m^3"
+    )
 
 
 def tension_sensitivity(tension: float, bending: float) -> float:

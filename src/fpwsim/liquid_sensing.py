@@ -22,7 +22,9 @@ from typing import Iterable
 import numpy as np
 
 from .config import finite_float, read_rows
-from .fpw_dispersion import LoadingState, _phase_velocity, loaded_velocity
+from .fpw_dispersion import (
+    LoadingState, _phase_velocity, _refuse_underflow, loaded_velocity,
+)
 from .plate_materials import CompositePlate
 
 # Fraction of the total added liquid mass the viscous part may reach before
@@ -157,7 +159,10 @@ def predict_frequency(
     if not 0 <= tension < math.inf:
         raise ValueError("tension must be finite and >= 0")
     rho, eta = (0.0, 0.0) if liquid is None else (liquid.density, liquid.viscosity)
-    return _phase_velocity(plate, wavelength, tension, rho, eta)[0] / wavelength
+    frequency = _phase_velocity(plate, wavelength, tension, rho, eta)[0] / wavelength
+    if frequency == 0.0:
+        _refuse_underflow(rho)
+    return frequency
 
 
 def invert_density_calibrated(

@@ -9,8 +9,10 @@ transfer-matrix chain (instead of the closed form evaluated over the
 frequency axis), from element matrices written here in scalar ``cmath``,
 and by the closed form as the sweep evaluated it before its step tables.
 The CSV writers format one value at a time with Python's own ``%.9e``
-(instead of the array kernel), and the resonance is found by walking the
-sweep point by point over its gaps (instead of dropping them first). The
+(instead of the array kernel), the resonance is found by walking the
+sweep point by point over its gaps (instead of dropping them first), and
+the sweep's exact center is taken with ``Fraction`` (instead of integer
+ratios). The
 values the loading records derive on read are given by the formulas that
 computed them when the records stored them. Nothing here imports
 ``fpwsim``.
@@ -239,6 +241,15 @@ def spacing_matrix(frequency, length, params):
     gamma = params.attenuation + 2j * math.pi * frequency / params.free_velocity
     phase = cmath.exp(gamma * length)
     return np.array([[phase, 0.0], [0.0, 1.0 / phase]], dtype=complex)
+
+
+def exact_center(v, wavelength):
+    """(f0, f0_low): f0 = v / wavelength rounded, and the exact quotient
+    minus f0 rounded once; (inf, 0.0) where f0 overflows."""
+    f0 = v / wavelength
+    if f0 == math.inf:
+        return f0, 0.0
+    return f0, float(Fraction(v) / Fraction(wavelength) - Fraction(f0))
 
 
 def grating_matrix(frequency, geometry, params):

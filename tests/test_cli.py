@@ -607,6 +607,44 @@ class TestDispersionCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "argv, density",
+        [
+            (["dispersion", "--liquid", "heavy"], "1e+300"),
+            (["dispersion", "--liquid", "thick"], "1e+300"),
+            (["s21", "--liquid", "heavy", "--out", "{out}"], "1e+300"),
+            (["s21", "--liquid", "thick", "--out", "{out}"], "1e+300"),
+            (["dispersion", "--sweep-out", "{out}",
+              "--sweep-densities", "1e299:1e300:3"], "1e+299"),
+        ],
+        ids=["summary-inviscid", "summary-viscous", "s21-inviscid",
+             "s21-viscous", "sweep"],
+    )
+    def test_underflowing_velocity_exits_1_naming_density(
+        self, tmp_path, capsys, argv, density
+    ):
+        # A valid one-layer plate so light that under 1e299 kg/m^3 of
+        # liquid its velocity sqrt(B / (M + rho delta_E)) underflows to 0.
+        config, liquids = tmp_path / "light.cfg", tmp_path / "liquids.txt"
+        out = tmp_path / "out.csv"
+        config.write_text(
+            "[layer]\nthickness = 1e-100\nyoung_modulus = 1.092e10\n"
+            "poisson_ratio = 0.3\ndensity = 1000\n\n"
+            "[geometry]\nwavelength = 1e-3\n"
+        )
+        liquids.write_text("heavy 1e300 0\nthick 1e300 1\n")
+        status = main(["--config", str(config), "--liquids", str(liquids)]
+                      + [a.format(out=out) for a in argv])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: FloatingPointError: loaded resonant frequency underflows "
+            f"to 0 at liquid density {density} kg/m^3\n"
+        )
+        assert not out.exists()
+
+
 class TestS21Command:
     def test_bulk_sweep_csv_contract(self, tmp_path):
         out = tmp_path / "bulk.csv"
@@ -934,6 +972,19 @@ def test_repeated_liquid_name_exits_2(tmp_path, capsys):
         f"error: {library}: liquid library line 2: duplicate "
         "liquid name 'Water', first on line 1\n"
     )
+
+
+def test_import_loads_no_rational_arithmetic():
+    # In a fresh interpreter: pytest and hypothesis load both modules here.
+    package = Path(fpwsim.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", "import fpwsim.cli, sys; "
+         "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(package)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_inputs_are_read_as_utf8_whatever_the_locale(tmp_path, points_file):

@@ -47,6 +47,7 @@ from oracles import (
     bragg_reflection_magnitude,
     chain_elements,
     chain_s21,
+    exact_center,
     former_s21,
     grating_matrix,
     launch_amplitude,
@@ -789,6 +790,17 @@ class TestFindResonance:
             "-3 dB bandwidth 0.0 is not a positive finite width with a finite Q"
         )
 
+    def test_span_beyond_float_range_refused_without_warning(self):
+        # Differences of these frequencies overflow to inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            response = self._response([-1.7e308, 1e308, 1.7e308], [0.1, 1.0, 0.1])
+            with pytest.raises(NoResonanceError) as caught:
+                find_resonance(response)
+        assert str(caught.value) == (
+            "-3 dB bandwidth -inf is not a positive finite width with a finite Q"
+        )
+
     @settings(max_examples=300, deadline=None)
     @given(case=_small_responses())
     def test_matches_loop_oracle(self, case):
@@ -849,6 +861,23 @@ def _percent_formatted(rows):
 
 def _float_from_bits(bits):
     return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+class TestExactCenter:
+    # Every positive finite double, drawn as its bit pattern.
+    positive = st.integers(1, 0x7FEFFFFFFFFFFFFF).map(_float_from_bits)
+
+    @settings(max_examples=500, deadline=None)
+    @given(v=positive, wavelength=positive)
+    @example(v=1.7e308, wavelength=5e-324)  # f0 overflows
+    @example(v=5e-324, wavelength=1.7e308)  # f0 underflows
+    @example(v=2400.0, wavelength=WAVELENGTH)  # the bundled device
+    def test_matches_fraction_oracle_bit_for_bit(self, v, wavelength):
+        center = com_resonator._exact_center(
+            DeviceGeometry(wavelength), ComParameters(v)
+        )
+        expected = exact_center(v, wavelength)
+        assert struct.pack("<2d", *center) == struct.pack("<2d", *expected)
 
 
 class TestCsvExport:

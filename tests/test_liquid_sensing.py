@@ -291,6 +291,26 @@ class TestViscosityCouplingReport:
         assert report.viscous_mass == loaded_velocity(*calls[0]).viscous_mass
 
 
+@pytest.mark.parametrize("viscosity", [0.0, 1.0])
+@pytest.mark.parametrize("entry", [
+    lambda plate, liquid: loaded_velocity(plate, LoadingState(0.0, liquid), 1e-3),
+    lambda plate, liquid: predict_frequency(plate, 1e-3, liquid),
+    lambda plate, liquid: viscosity_coupling_report(liquid, plate, 1e-3),
+], ids=["loaded_velocity", "predict_frequency", "coupling_report"])
+def test_underflowing_velocity_refused(entry, viscosity):
+    # A valid plate and liquid whose inviscid velocity sqrt(B / (M + rho
+    # delta_E)) underflows to 0; the viscous solve would divide by it.
+    plate = CompositePlate.from_layers(
+        [MaterialLayer("x", 1e-100, 1.092e10, 0.3, 1000.0)]
+    )
+    with pytest.raises(FloatingPointError) as caught:
+        entry(plate, LiquidSample("heavy", 1e300, viscosity))
+    assert str(caught.value) == (
+        "loaded resonant frequency underflows to 0 at liquid density "
+        "1e+300 kg/m^3"
+    )
+
+
 def _nitride_plate(thickness):
     """One silicon nitride layer: at 10 um every drawn liquid sees a phase
     velocity above 0.3 of the water sound speed, at 1.352 um water sees
