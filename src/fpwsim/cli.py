@@ -37,10 +37,10 @@ from .config import (
     parse_device_config,
 )
 from .fpw_dispersion import (
+    LiquidLoad,
     LoadingState,
     NoSolutionError,
     _phase_velocity,
-    _refuse_underflow,
     loaded_velocity,
     sensitivities,
 )
@@ -112,25 +112,14 @@ def _pick_liquid(args) -> LiquidSample | None:
     return library[name]
 
 
-def _loading(args, liquid: LiquidSample | None, plate, wavelength):
-    """``(loading, solution)`` at --tension and the liquid. A non-finite
-    velocity names --tension if the inviscid one overflows too (the viscous
-    term only slows the wave), else the liquid density."""
+def _loading(args, liquid: LiquidLoad | LiquidSample | None, plate, wavelength):
+    """``(loading, solution)`` at --tension and the liquid. A ValueError, a
+    refused tension or an inviscid velocity it overflows, names --tension."""
     try:
         loading = LoadingState(tension=args.tension, liquid=liquid)
+        return loading, loaded_velocity(plate, loading, wavelength)
     except ValueError as exc:
         raise UsageError(f"--tension {args.tension}: {exc}") from None
-    solution = loaded_velocity(plate, loading, wavelength)
-    if not math.isfinite(solution.phase_velocity):
-        density = liquid.density if liquid is not None else 0.0
-        inviscid, _ = _phase_velocity(plate, wavelength, args.tension, density, 0.0)
-        if not math.isfinite(inviscid):
-            raise UsageError(
-                f"--tension {args.tension}: the loaded velocity "
-                "sqrt((T + B) / (M + rho delta_E)) overflows"
-            )
-        _refuse_non_finite(density)
-    return loading, solution
 
 
 def _cmd_plate(args) -> RunResult:
@@ -179,26 +168,21 @@ def _cmd_dispersion(args) -> RunResult:
         lo, hi, count = _parse_sweep_range(args.sweep_densities)
         eta = liquid.viscosity if liquid is not None else 0.0
         densities = np.linspace(lo, hi, count)
-        with np.errstate(all="ignore"):  # a non-finite row is refused below
+        with np.errstate(all="ignore"):  # such a row is solved again below
             frequencies = _phase_velocity(
                 plate, wavelength, args.tension, densities, eta, np.sqrt
             )[0] / wavelength
-        if not (usable := (frequencies > 0) & (frequencies < np.inf)).all():
-            row = np.flatnonzero(~usable)[0]
-            if frequencies[row] == 0:
-                _refuse_underflow(densities[row])
-            _refuse_non_finite(densities[row])
+        # A row the array form leaves not finite and > 0 is solved again by
+        # the scalar form, which refuses it as it would the summary.
+        for row in np.flatnonzero(~((frequencies > 0) & (frequencies < np.inf))):
+            load = LiquidLoad(float(densities[row]), eta)
+            _, solution = _loading(args, load, plate, wavelength)
+            frequencies[row] = solution.resonant_frequency
         write_csv(
             args.sweep_out, "density_kg_m3,frequency_hz", (densities, frequencies)
         )
         lines.append(f"sweep_csv: {args.sweep_out} ({count} rows)")
     return RunResult(command="dispersion", summary=tuple(lines))
-
-
-def _refuse_non_finite(density: float):
-    raise FloatingPointError(
-        f"loaded velocity is not finite at liquid density {density:.6g} kg/m^3"
-    )
 
 
 def _parse_sweep_range(text: str) -> tuple[float, float, int]:

@@ -151,12 +151,13 @@ def _phase_velocity(
     root a - 1/(3a) of Ferrari's resolvent cubic y^3 + y = eps^2 / 8, free
     of cancellation at small eps. M_eta scales as v^(-1/2), so the viscous
     mass at the root is m0 x; it is 0 for an inviscid liquid. ``rho`` may be
-    an array of densities when ``sqrt`` is an array square root. Densities
-    that overflow h * h give NaN, unchecked: on the bundled plate above about
-    3e211 kg/m^3 at 10 Pa*s, 1.5e214 at 1e-3 Pa*s. A velocity that
-    underflows comes back as 0.0, and so does a viscous solve whose v0
-    underflowed (NaN on the array path), unchecked: ``loaded_velocity`` and
-    ``predict_frequency`` refuse a zero frequency with ``_refuse_underflow``."""
+    an array of densities when ``sqrt`` is an array square root. NaN, inf
+    and 0.0 come back unchecked: densities that overflow h * h give NaN (on
+    the bundled plate above about 3e211 kg/m^3 at 10 Pa*s, 1.5e214 at 1e-3
+    Pa*s), a tension that overflows v0 gives inf, and a velocity that
+    underflows gives 0.0, as does a viscous solve whose v0 underflowed (NaN
+    on the array path). ``loaded_velocity`` and ``predict_frequency`` refuse
+    each of them with ``_refuse_operating_point``."""
     bending, delta_e = plate.wave_constants(wavelength)
     stiffness = tension + bending
     base_mass = plate.mass_per_area + rho * delta_e
@@ -187,21 +188,38 @@ def loaded_velocity(
     inviscid one, else the positive root of the quartic in v^(-1/2) from
     Ferrari's resolvent cubic. The record keeps that velocity, the viscous
     mass at the root, the wavelength and the liquid, and derives the rest.
-    Raises FloatingPointError where the resonant frequency v / wavelength,
-    or v itself, underflows to 0.
+    Refuses, with ``_refuse_operating_point``, a resonant frequency
+    v / wavelength that is not finite and > 0.
     """
     liquid = loading.liquid
     rho, eta = (0.0, 0.0) if liquid is None else (liquid.density, liquid.viscosity)
     v, m_eta = _phase_velocity(plate, wavelength, loading.tension, rho, eta)
-    if v / wavelength == 0.0:
-        _refuse_underflow(rho)
+    if not 0.0 < v / wavelength < math.inf:
+        _refuse_operating_point(plate, wavelength, loading.tension, rho, v / wavelength)
     return VelocitySolution(v, m_eta, wavelength, liquid)
 
 
-def _refuse_underflow(density: float):
+def _refuse_operating_point(plate, wavelength, tension, density, frequency):
+    """Raise for a loaded resonant ``frequency`` that is not finite and > 0.
+
+    A frequency of 0 underflowed: FloatingPointError. Otherwise the velocity
+    is inf or NaN (on a validated plate a finite velocity has a finite
+    frequency). If the inviscid velocity overflows as well, the tension is
+    too high for the plate: ValueError, with no density named, since the
+    liquid only slows the wave. Else the liquid's loading is not finite:
+    FloatingPointError naming the density.
+    """
+    if frequency == 0.0:
+        raise FloatingPointError(
+            "loaded resonant frequency underflows to 0 at liquid density "
+            f"{density:.6g} kg/m^3"
+        )
+    if not _phase_velocity(plate, wavelength, tension, density, 0.0)[0] < math.inf:
+        raise ValueError(
+            "the loaded velocity sqrt((T + B) / (M + rho delta_E)) overflows"
+        )
     raise FloatingPointError(
-        "loaded resonant frequency underflows to 0 at liquid density "
-        f"{density:.6g} kg/m^3"
+        f"loaded velocity is not finite at liquid density {density:.6g} kg/m^3"
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import finite_float, read_rows
 from .fpw_dispersion import (
-    LoadingState, _phase_velocity, _refuse_underflow, loaded_velocity,
+    LoadingState, _phase_velocity, _refuse_operating_point, loaded_velocity,
 )
 from .plate_materials import CompositePlate
 
@@ -155,13 +155,14 @@ def predict_frequency(
     liquid: LiquidSample | None = None,
     tension: float = 0.0,
 ) -> float:
-    """Model resonant frequency (Hz), the value ``loaded_velocity`` gives."""
+    """Model resonant frequency (Hz), the value ``loaded_velocity`` gives,
+    refused as it refuses it."""
     if not 0 <= tension < math.inf:
         raise ValueError("tension must be finite and >= 0")
     rho, eta = (0.0, 0.0) if liquid is None else (liquid.density, liquid.viscosity)
     frequency = _phase_velocity(plate, wavelength, tension, rho, eta)[0] / wavelength
-    if frequency == 0.0:
-        _refuse_underflow(rho)
+    if not 0.0 < frequency < math.inf:
+        _refuse_operating_point(plate, wavelength, tension, rho, frequency)
     return frequency
 
 

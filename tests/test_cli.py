@@ -581,6 +581,25 @@ class TestDispersionCommand:
         )
         assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
+    def test_unusable_array_row_is_solved_by_the_scalar_form(
+        self, tmp_path, monkeypatch
+    ):
+        # A row the sweep's array form leaves NaN, inf or 0 goes through the
+        # scalar solve; where that accepts it, its value is written.
+        argv = ["dispersion", "--liquid", "glycerol", "--sweep-out"]
+        assert main(argv + [str(tmp_path / "plain.csv")]) == 0
+        array_form = fpwsim.cli._phase_velocity
+
+        def spoiled(*args):
+            v, m = array_form(*args)
+            v[[1, 5, 9]] = np.nan, np.inf, 0.0
+            return v, m
+
+        monkeypatch.setattr(fpwsim.cli, "_phase_velocity", spoiled)
+        assert main(argv + [str(tmp_path / "spoiled.csv")]) == 0
+        spoiled_csv = (tmp_path / "spoiled.csv").read_bytes()
+        assert spoiled_csv == (tmp_path / "plain.csv").read_bytes()
+
     @pytest.mark.parametrize(
         "argv, density",
         [
@@ -616,9 +635,12 @@ class TestDispersionCommand:
             (["s21", "--liquid", "thick", "--out", "{out}"], "1e+300"),
             (["dispersion", "--sweep-out", "{out}",
               "--sweep-densities", "1e299:1e300:3"], "1e+299"),
+            # Viscous rows: the array form's v0 of 0 gives NaN, not 0.
+            (["dispersion", "--liquid", "light", "--sweep-out", "{out}",
+              "--sweep-densities", "1e299:1e300:3"], "1e+299"),
         ],
         ids=["summary-inviscid", "summary-viscous", "s21-inviscid",
-             "s21-viscous", "sweep"],
+             "s21-viscous", "sweep", "sweep-viscous"],
     )
     def test_underflowing_velocity_exits_1_naming_density(
         self, tmp_path, capsys, argv, density
@@ -632,7 +654,7 @@ class TestDispersionCommand:
             "poisson_ratio = 0.3\ndensity = 1000\n\n"
             "[geometry]\nwavelength = 1e-3\n"
         )
-        liquids.write_text("heavy 1e300 0\nthick 1e300 1\n")
+        liquids.write_text("heavy 1e300 0\nthick 1e300 1\nlight 1 1\n")
         status = main(["--config", str(config), "--liquids", str(liquids)]
                       + [a.format(out=out) for a in argv])
         captured = capsys.readouterr()
@@ -1043,18 +1065,24 @@ def test_non_finite_sweep_window_exits_2_without_csv(tmp_path, capsys, argv):
         ["dispersion", "--tension", "1.7e308"],
         ["dispersion", "--liquid", "glycerol", "--tension", "1.7e308"],
         ["s21", "--fpw", "--tension", "1.7e308", "--out", "{out}"],
+        # The summary at 2e5 kg/m^3 is finite; the 500 kg/m^3 row is not.
+        ["--liquids", "{dense}", "dispersion", "--liquid", "dense", "--tension",
+         "1.7e308", "--sweep-out", "{out}", "--sweep-densities", "500:1000:2"],
     ],
-    ids=["dispersion-dry", "dispersion-glycerol", "s21-fpw"],
+    ids=["dispersion-dry", "dispersion-glycerol", "s21-fpw", "sweep"],
 )
 def test_overflowing_tension_exits_2_naming_the_option(tmp_path, capsys, argv):
     # Finite and >= 0, so LoadingState accepts it, but (T + B) / M overflows.
-    out = tmp_path / "out.csv"
-    status = main([a.format(out=out) for a in argv])
+    out, dense = tmp_path / "out.csv", tmp_path / "dense.txt"
+    dense.write_text("dense 2e5 0\n")
+    status = main([a.format(out=out, dense=dense) for a in argv])
     captured = capsys.readouterr()
     assert status == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: --tension 1.7e+308: ")
-    assert "overflows" in captured.err
+    assert captured.err == (
+        "error: --tension 1.7e+308: the loaded velocity "
+        "sqrt((T + B) / (M + rho delta_E)) overflows\n"
+    )
     assert not out.exists()
 
 

@@ -3,15 +3,18 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fpwsim import (
+    CompositePlate,
     LiquidLoad,
     LoadingState,
+    MaterialLayer,
     NoSolutionError,
     density_from_frequency,
     evanescent_decay_length,
     loaded_velocity,
+    predict_frequency,
     sensitivities,
     unloaded_velocity,
 )
@@ -20,6 +23,33 @@ from conftest import PUBLISHED, WAVELENGTH, assert_refusal, range_cases
 from oracles import bisect_density, bisect_loaded_velocity, closed_form_density
 
 DELTA_E = WAVELENGTH / (2 * math.pi)  # 6.366197723e-06 m
+
+# A valid one-layer plate so light that at 1e-3 m and above about 1e299
+# kg/m^3 of liquid its velocity sqrt(B / (M + rho delta_E)) underflows to 0.
+LIGHT_PLATE = CompositePlate.from_layers(
+    [MaterialLayer("x", 1e-100, 1.092e10, 0.3, 1000.0)]
+)
+
+
+def _refusal(solve, *args):
+    """(type, text) of the refusal ``solve(*args)`` raises, else None."""
+    try:
+        solve(*args)
+    except (FloatingPointError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _refusals(density):
+    """The three ways the loaded solve refuses an operating point."""
+    return (
+        (FloatingPointError, "loaded resonant frequency underflows to 0 at "
+         f"liquid density {density:.6g} kg/m^3"),
+        (ValueError,
+         "the loaded velocity sqrt((T + B) / (M + rho delta_E)) overflows"),
+        (FloatingPointError,
+         f"loaded velocity is not finite at liquid density {density:.6g} kg/m^3"),
+    )
 
 
 class TestUnloadedVelocity:
@@ -215,29 +245,71 @@ class TestLoadedVelocity:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        densities=st.lists(st.floats(1e-3, 2e4), min_size=1, max_size=40),
+        densities=st.lists(
+            st.one_of(
+                st.floats(1e-3, 2e4),
+                st.floats(0.0, 1.7e308, exclude_min=True),
+                st.floats(-3.0, 308.0).map(lambda e: 10.0**e),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
         viscosity=st.one_of(
             st.just(0.0),
-            st.floats(0.0, 10.0),
-            st.floats(-300.0, 1.0).map(lambda e: 10.0**e),
+            st.floats(0.0, 1e3),
+            st.floats(-300.0, 3.0).map(lambda e: 10.0**e),
         ),
-        tension=st.floats(0.0, 100.0),
+        tension=st.one_of(
+            st.floats(0.0, 100.0),
+            st.floats(0.0, 1.7e308),
+            st.floats(-3.0, 308.0).map(lambda e: 10.0**e),
+        ),
+        light=st.booleans(),
     )
+    # The density sweep 1e299:1e300:3 of a viscous liquid on the light
+    # plate: v0 underflows, so the array form gives NaN, the scalar form 0.
+    @example(densities=[1e299, 5.5e299, 1e300], viscosity=1.0, tension=0.0,
+             light=True)
+    @example(densities=[1e250], viscosity=1.0, tension=0.0, light=False)
+    @example(densities=[500.0, 1000.0], viscosity=0.0, tension=1.7e308,
+             light=False)
     def test_array_form_matches_scalar_form(
-        self, pinned_plate, densities, viscosity, tension
+        self, pinned_plate, densities, viscosity, tension, light
     ):
         # The density sweep evaluates the kernel once over an array. Only the
         # cube root differs (numpy's power against libm's pow), by a few ulp.
-        v, m = _phase_velocity(
-            pinned_plate, WAVELENGTH, tension, np.array(densities), viscosity,
-            np.sqrt,
-        )
+        # A row the array form leaves not finite and > 0 is one that the
+        # scalar solve refuses, with the text loaded_velocity gives the CLI.
+        plate, wavelength = (LIGHT_PLATE, 1e-3) if light else (pinned_plate, WAVELENGTH)
+        with np.errstate(all="ignore"):
+            v, m = _phase_velocity(
+                plate, wavelength, tension, np.array(densities), viscosity,
+                np.sqrt,
+            )
+        m = np.broadcast_to(m, v.shape)  # a scalar 0.0 when inviscid
+        usable = (v / wavelength > 0) & (v / wavelength < np.inf)
+        accepted = []
+        for row, rho in enumerate(densities):
+            load = LiquidLoad(rho, viscosity)
+            refusal = _refusal(predict_frequency, plate, wavelength, load, tension)
+            assert refusal == _refusal(
+                loaded_velocity, plate, LoadingState(tension, load), wavelength
+            )
+            assert (refusal is None) == usable[row]
+            if refusal is None:
+                accepted.append(row)
+            else:
+                assert refusal in _refusals(rho)
         scalar = [
-            _phase_velocity(pinned_plate, WAVELENGTH, tension, rho, viscosity)
-            for rho in densities
+            _phase_velocity(plate, wavelength, tension, densities[row], viscosity)
+            for row in accepted
         ]
-        np.testing.assert_allclose(v, [p[0] for p in scalar], rtol=1e-14, atol=0)
-        np.testing.assert_allclose(m, [p[1] for p in scalar], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            v[accepted], [p[0] for p in scalar], rtol=1e-14, atol=0
+        )
+        np.testing.assert_allclose(
+            m[accepted], [p[1] for p in scalar], rtol=1e-14, atol=0
+        )
 
     def test_inviscid_liquid_is_closed_form(self, pinned_plate):
         tension, density = 10.0, 1000.0

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fpwsim import (
+    ComParameters,
     CompositePlate,
     CouplingReport,
     DegenerateFitError,
+    DeviceGeometry,
     LiquidLoad,
     LiquidSample,
     LoadingState,
@@ -291,12 +293,30 @@ class TestViscosityCouplingReport:
         assert report.viscous_mass == loaded_velocity(*calls[0]).viscous_mass
 
 
+# Each library entry that solves a loaded operating point, as
+# entry(plate, wavelength, liquid, tension); the coupling report takes no
+# tension.
+SOLVES = {
+    "loaded_velocity": lambda plate, wavelength, liquid, tension: loaded_velocity(
+        plate, LoadingState(tension, liquid), wavelength
+    ),
+    "predict_frequency": lambda plate, wavelength, liquid, tension: (
+        predict_frequency(plate, wavelength, liquid, tension)
+    ),
+    "coupling_report": lambda plate, wavelength, liquid, tension: (
+        viscosity_coupling_report(liquid, plate, wavelength)
+    ),
+    "fpw_device_response": lambda plate, wavelength, liquid, tension: (
+        fpw_device_response(plate, LoadingState(tension, liquid),
+                            DeviceGeometry(wavelength),
+                            ComParameters(free_velocity=1.0))
+    ),
+}
+TENSIONED = {k: v for k, v in SOLVES.items() if k != "coupling_report"}
+
+
 @pytest.mark.parametrize("viscosity", [0.0, 1.0])
-@pytest.mark.parametrize("entry", [
-    lambda plate, liquid: loaded_velocity(plate, LoadingState(0.0, liquid), 1e-3),
-    lambda plate, liquid: predict_frequency(plate, 1e-3, liquid),
-    lambda plate, liquid: viscosity_coupling_report(liquid, plate, 1e-3),
-], ids=["loaded_velocity", "predict_frequency", "coupling_report"])
+@pytest.mark.parametrize("entry", SOLVES.values(), ids=SOLVES.keys())
 def test_underflowing_velocity_refused(entry, viscosity):
     # A valid plate and liquid whose inviscid velocity sqrt(B / (M + rho
     # delta_E)) underflows to 0; the viscous solve would divide by it.
@@ -304,10 +324,30 @@ def test_underflowing_velocity_refused(entry, viscosity):
         [MaterialLayer("x", 1e-100, 1.092e10, 0.3, 1000.0)]
     )
     with pytest.raises(FloatingPointError) as caught:
-        entry(plate, LiquidSample("heavy", 1e300, viscosity))
+        entry(plate, 1e-3, LiquidSample("heavy", 1e300, viscosity), 0.0)
     assert str(caught.value) == (
         "loaded resonant frequency underflows to 0 at liquid density "
         "1e+300 kg/m^3"
+    )
+
+
+@pytest.mark.parametrize("entry", SOLVES.values(), ids=SOLVES.keys())
+def test_non_finite_viscous_velocity_refused(entry, pinned_plate):
+    # A valid, finite density whose viscous loading overflows h * h to NaN.
+    with pytest.raises(FloatingPointError) as caught:
+        entry(pinned_plate, WAVELENGTH, LiquidSample("goo", 1e250, 1.0), 0.0)
+    assert str(caught.value) == (
+        "loaded velocity is not finite at liquid density 1e+250 kg/m^3"
+    )
+
+
+@pytest.mark.parametrize("entry", TENSIONED.values(), ids=TENSIONED.keys())
+def test_overflowing_tension_refused(entry, pinned_plate):
+    # Finite and >= 0, so LoadingState accepts it, but (T + B) / M overflows.
+    with pytest.raises(ValueError) as caught:
+        entry(pinned_plate, WAVELENGTH, None, 1.7e308)
+    assert str(caught.value) == (
+        "the loaded velocity sqrt((T + B) / (M + rho delta_E)) overflows"
     )
 
 
